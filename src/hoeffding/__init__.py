@@ -7,8 +7,9 @@ Library layout:
   probabilities.
 * :mod:`hoeffding.symmetric` - symmetric functions by zero count,
   U-statistic lifting, conditional expectations, symmetrization.
-* :mod:`hoeffding.engine` - Hoeffding layers by exact Gram projection and
-  the three equivalent decomposability tests.
+* :mod:`hoeffding.engine` - Hoeffding layers from the orthogonal
+  polynomials of the zero-count law (a three-term recurrence, in
+  :mod:`hoeffding.linalg`) and the three equivalent decomposability tests.
 * :mod:`hoeffding.dynamics` - the forced moment recursion, Beta recovery,
   classification, affine-predictive checks.
 * :mod:`hoeffding.montecarlo` - seeded samplers cross-validating the exact
@@ -21,12 +22,12 @@ from .errors import (
     DeterministicMeasureError,
     HoeffdingError,
     IndexRangeError,
+    InternalError,
     InvalidMomentSequenceError,
     MomentRegionError,
     OrderExceededError,
     ParameterRangeError,
     ParseError,
-    RankDeficientError,
     ReinforcementRangeError,
     UnsamplableKindError,
     ZeroDenominatorError,
@@ -56,7 +57,6 @@ from .engine import (
     iid_projection,
     level_subspace_check,
     polya_projection_coefficients,
-    ustatistic_basis,
     weak_independence_residual,
 )
 from .dynamics import (
@@ -98,13 +98,13 @@ __all__ = [
     "HoeffdingDecomposition",
     "HoeffdingError",
     "IndexRangeError",
+    "InternalError",
     "InvalidMomentSequenceError",
     "MeasureKind",
     "MomentRegionError",
     "OrderExceededError",
     "ParameterRangeError",
     "ParseError",
-    "RankDeficientError",
     "ReinforcementFunction",
     "ReinforcementRangeError",
     "SampleReport",
@@ -146,6 +146,5 @@ __all__ = [
     "sample_urn_process",
     "symmetrize",
     "urn_histogram",
-    "ustatistic_basis",
     "weak_independence_residual",
 ]

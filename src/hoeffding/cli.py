@@ -32,7 +32,7 @@ from .engine import (
     hoeffding_decomposition,
     level_subspace_check,
 )
-from .errors import HoeffdingError, ParseError
+from .errors import HoeffdingError, InternalError, ParseError
 from .measures import DeFinettiMeasure, parse_measure_spec
 from .montecarlo import (
     SampleReport,
@@ -89,7 +89,8 @@ def _build_parser() -> _Parser:
         default="all",
         help="prop1: alternating conditional-probability residuals; "
         "weakindep: symmetrized overlap conditionals of the canonical "
-        "kernel; definition: per-level subspace equality by exact rank",
+        "kernel; definition: per-level subspace equality by exact "
+        "orthogonality",
     )
 
     p = sub.add_parser(
@@ -601,6 +602,8 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
         return code, output, ""
     except ParseError as exc:
         return 2, "", f"error: {exc}\n"
+    except InternalError:
+        raise  # a library defect, not bad input: exit 2 would misreport it
     except HoeffdingError as exc:
         return 2, "", f"error: {exc}\n"
 

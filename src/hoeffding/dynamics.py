@@ -28,6 +28,7 @@ from typing import Optional, Union
 from .engine import Triple, Verdict, check_decomposable
 from .errors import (
     IndexRangeError,
+    InternalError,
     MomentRegionError,
     ParameterRangeError,
     ZeroDenominatorError,
@@ -66,13 +67,22 @@ class Classification:
     verified_order: int = 0
 
     def __post_init__(self):
-        if self.kind is ClassificationKind.IID:
-            assert self.iid_p is not None and 0 < self.iid_p < 1
-        if self.kind is ClassificationKind.POLYA:
-            assert self.polya_alpha is not None and self.polya_alpha > 0
-            assert self.polya_beta is not None and self.polya_beta > 0
-        if self.kind is ClassificationKind.NOT_DECOMPOSABLE:
-            assert self.witness is not None
+        kind = self.kind
+        if kind is ClassificationKind.IID:
+            valid = self.iid_p is not None and 0 < self.iid_p < 1
+        elif kind is ClassificationKind.POLYA:
+            valid = (
+                self.polya_alpha is not None
+                and self.polya_alpha > 0
+                and self.polya_beta is not None
+                and self.polya_beta > 0
+            )
+        elif kind is ClassificationKind.NOT_DECOMPOSABLE:
+            valid = self.witness is not None
+        else:
+            valid = True
+        if not valid:
+            raise InternalError(f"inconsistent {kind.value} classification: {self}")
 
 
 def moment_polynomials(x, y, z) -> tuple[Fraction, Fraction]:
@@ -139,8 +149,8 @@ def recover_beta(c1, c2) -> tuple[Fraction, Fraction]:
     beta = (1 - c1) * (c1 - c2) / gap
     # mandatory self-check: substitute back into the defining moment system
     total = alpha + beta
-    assert alpha / total == c1
-    assert alpha * (alpha + 1) / (total * (total + 1)) == c2
+    if alpha / total != c1 or alpha * (alpha + 1) / (total * (total + 1)) != c2:
+        raise InternalError(f"Beta({alpha}, {beta}) does not reproduce ({c1}, {c2})")
     return alpha, beta
 
 

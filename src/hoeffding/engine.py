@@ -3,9 +3,12 @@
 For an exchangeable binary sequence the square-integrable symmetric
 statistics of n observations split into n+1 orthogonal layers: the k-th
 layer is the part of the span of order-k U-statistics orthogonal to all
-lower orders (the ANOVA decomposition). This module computes those layers
-by exact Gram-matrix projection and runs three equivalent tests of whether
-the decomposition is realized by completely degenerate kernels:
+lower orders (the ANOVA decomposition). In zero-count coordinates the
+order-k U-statistics are the polynomials of degree <= k in z, so this module
+computes the layers from the orthogonal polynomials of the weight
+C(n,z) P_n(z) (a three-term recurrence, see :mod:`hoeffding.linalg`), and
+runs three equivalent tests of whether the decomposition is realized by
+completely degenerate kernels:
 
 * the alternating-sum residual over conditional zero-count probabilities
   (``decomposability_residual``), which must vanish for every triple
@@ -15,7 +18,7 @@ the decomposition is realized by completely degenerate kernels:
   kernel;
 * direct subspace equality (``check_hoeffding_spaces``): each Hoeffding
   layer must coincide with the span of lifted completely degenerate
-  kernels, tested by exact rank.
+  kernels, tested by exact orthogonality to all lower-degree polynomials.
 
 The two residual routes are tied by the exact identity
 
@@ -34,7 +37,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
 from . import linalg
-from .errors import IndexRangeError, ParameterRangeError, RankDeficientError
+from .errors import IndexRangeError, InternalError, ParameterRangeError
 from .measures import DeFinettiMeasure
 from .rationals import binom
 from .symmetric import (
@@ -107,66 +110,29 @@ def canonical_degenerate_kernel(measure: DeFinettiMeasure, n: int) -> SymmetricF
 
 
 def degenerate_kernel_basis(measure: DeFinettiMeasure, n: int) -> list[SymmetricFunction]:
-    """Basis of the null space of the one-step degeneracy map, by elimination.
+    """Basis of the null space of the one-step degeneracy map.
 
-    For a non-deterministic measure, the space of completely degenerate
-    kernels of order n is one-dimensional and the returned basis is the
-    canonical kernel (normalized to value 1 on the all-ones configuration).
+    Averaging out one argument of a kernel with j zeros among the other
+    n-1 gives the bidiagonal system
+
+        phi(j) P_n(j) / P_{n-1}(j) + phi(j+1) P_n(j+1) / P_{n-1}(j) = 0,
+        j = 0..n-1,
+
+    solved by forward substitution from phi(0) = 1. For a non-deterministic
+    measure every coefficient is positive, so the completely degenerate
+    kernels of order n form a line and the returned basis is the canonical
+    kernel (normalized to value 1 on the all-ones configuration).
     """
     if n < 1:
         raise IndexRangeError("arity must be at least 1")
     measure.require_nondeterministic(n)
-    rows = []
+    values = [Fraction(1)]
     for j in range(n):
-        denominator = measure.config_probability(n - 1, j)
-        row = [Fraction(0)] * (n + 1)
-        row[j] = measure.config_probability(n, j) / denominator
-        row[j + 1] = measure.config_probability(n, j + 1) / denominator
-        rows.append(row)
-    basis = []
-    for vec in linalg.nullspace(rows, n + 1):
-        if vec[0] != 0:
-            vec = [x / vec[0] for x in vec]
-        basis.append(SymmetricFunction(tuple(vec)))
-    return basis
-
-
-def ustatistic_basis(
-    measure: DeFinettiMeasure, n: int, k: int
-) -> list[SymmetricFunction]:
-    """k+1 independent spanning elements of the order-k U-statistic space.
-
-    Element j is the lift of the arity-j all-zeros indicator kernel, i.e.
-    the function z -> C(z, j) counting all-zero j-subsets. Independence is
-    certified by an exact Gram rank test under the measure.
-    """
-    if not 0 <= k <= n:
-        raise IndexRangeError(f"need 0 <= k <= n, got k={k} n={n}")
-    basis = [
-        SymmetricFunction(tuple(Fraction(binom(z, j)) for z in range(n + 1)))
-        for j in range(k + 1)
-    ]
-    gram = [[inner_product(bi, bj, measure) for bj in basis] for bi in basis]
-    if linalg.rank(gram) != k + 1:
-        raise RankDeficientError(
-            f"U-statistic basis is rank deficient at (n={n}, k={k}); "
-            "the measure is deterministic"
-        )
-    return basis
-
-
-def _project_onto_ustatistics(
-    statistic: SymmetricFunction, measure: DeFinettiMeasure, k: int
-) -> SymmetricFunction:
-    """Orthogonal projection onto the order-k U-statistic space (Gram solve)."""
-    basis = ustatistic_basis(measure, statistic.n, k)
-    gram = [[inner_product(bi, bj, measure) for bj in basis] for bi in basis]
-    rhs = [inner_product(statistic, bi, measure) for bi in basis]
-    coefficients = linalg.solve(gram, rhs)
-    out = SymmetricFunction.constant(statistic.n, 0)
-    for c, b in zip(coefficients, basis):
-        out = out + b.scale(c)
-    return out
+        given = measure.config_probability(n - 1, j)
+        one = measure.config_probability(n, j) / given
+        zero = measure.config_probability(n, j + 1) / given
+        values.append(-values[j] * one / zero)
+    return [SymmetricFunction(tuple(values))]
 
 
 def hoeffding_decomposition(
@@ -174,24 +140,24 @@ def hoeffding_decomposition(
 ) -> HoeffdingDecomposition:
     """Split a statistic into its orthogonal U-statistic layers.
 
-    Component k is the projection onto order-k U-statistics minus the
-    projection onto order k-1, computed by exact normal equations; the
-    components are pairwise orthogonal and sum back to the statistic.
+    The order-k U-statistics are the polynomials of degree <= k in the zero
+    count z, so layer k is spanned by the k-th orthogonal polynomial q_k of
+    the weight C(n,z) P_n(z) on z = 0..n, and component k is
+    <T, q_k> / <q_k, q_k> q_k. Component 0 is the mean. The components are
+    pairwise orthogonal and sum back to the statistic.
     """
     n = statistic.n
     measure.require_nondeterministic(n)
-    mean = inner_product(statistic, SymmetricFunction.constant(n, 1), measure)
-    previous = SymmetricFunction.constant(n, mean)
-    components = [previous]
-    for k in range(1, n + 1):
-        current = _project_onto_ustatistics(statistic, measure, k)
-        components.append(current - previous)
-        previous = current
+    weights = [binom(n, z) * measure.config_probability(n, z) for z in range(n + 1)]
+    components = []
+    for values, norm in linalg.orthogonal_polynomials(weights):
+        q = SymmetricFunction(values)
+        components.append(q.scale(inner_product(statistic, q, measure) / norm))
     return HoeffdingDecomposition(
         n=n,
         measure_digest=measure.describe(),
         components=tuple(components),
-        mean=mean,
+        mean=components[0][0],
     )
 
 
@@ -205,7 +171,7 @@ def iid_projection(statistic: SymmetricFunction, p, k: int) -> SymmetricFunction
 
     The subset-multiplicity factor C(n-a, k-a) counts the k-subsets each
     a-subset sits inside; it is what makes the lifted sums telescope to the
-    exact Gram projection (verified exactly in the test suite).
+    exact orthogonal projection (verified exactly in the test suite).
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -225,25 +191,23 @@ def iid_projection(statistic: SymmetricFunction, p, k: int) -> SymmetricFunction
 
 
 def polya_projection_coefficients(alpha, beta) -> tuple[Fraction, Fraction, Fraction]:
-    """Published projection coefficients for arity-3 statistics of a Polya
-    sequence, as closed forms in s = alpha + beta:
+    """Projection coefficients for arity-3 statistics of a Polya sequence.
 
-        ((s+1)/(s+2),  -(s+1)(s+4)/((s+3)(s+2)) - (s+1)/(s+2),  (s+4)/(s+2))
+    In s = alpha + beta, for the (order, block) pairs (1,1), (2,1), (2,2):
 
-    for the (order, block) pairs (1,1), (2,1), (2,2). These are returned at
-    face value; the exact Gram route is authoritative, and the test suite
-    documents that these closed forms do NOT reproduce the Gram projections
-    (the exact coefficients fitted against the Gram route are
-    (s+1)/(s+3), -2(s+1)/(s+4) and (s+2)/(s+4)).
+        ((s+1)/(s+3),  -2(s+1)/(s+4),  (s+2)/(s+4))
+
+    Component 1 of an arity-3 statistic T is (1,1) times the lift of
+    E[T - E T | X_1], and component 2 is (2,1) times that lift plus (2,2)
+    times the lift of E[T - E T | X_1, X_2]. The forms are verified exactly
+    against an independent Gram-matrix projection in the test suite; the
+    closed forms printed in the literature do not reproduce it.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= 0 or beta <= 0:
         raise ParameterRangeError("alpha and beta must be positive")
     s = alpha + beta
-    first = (s + 1) / (s + 2)
-    second = -((s + 1) * (s + 4)) / ((s + 3) * (s + 2)) - (s + 1) / (s + 2)
-    third = (s + 4) / (s + 2)
-    return (first, second, third)
+    return ((s + 1) / (s + 3), -2 * (s + 1) / (s + 4), (s + 2) / (s + 4))
 
 
 def _check_triple(n: int, u: int, z: int) -> None:
@@ -308,8 +272,10 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
 
     Checks, for the canonical degenerate kernel of order n lifted to every
     statistic arity m = n..2n-1, that the n-th Hoeffding layer of an
-    m-sample equals the span of the lifted kernel. Ranks of stacked
-    generator sets are compared exactly, so the test is basis-independent.
+    m-sample equals the span of the lifted kernel. The layer is the line of
+    the degree-n orthogonal polynomial, and the lift is a nonzero polynomial
+    of degree <= n in the zero count (lifting is injective), so the two
+    coincide exactly when the lift is orthogonal to every C(z, j), j < n.
     Equivalent to the vanishing of all residuals with first index n.
     """
     if n < 2:
@@ -317,16 +283,11 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
     measure.require_nondeterministic(2 * n - 1)
     kernel = canonical_degenerate_kernel(measure, n)
     for m in range(n, 2 * n):
-        generators = []
-        for basis_element in ustatistic_basis(measure, m, n):
-            projection = _project_onto_ustatistics(basis_element, measure, n - 1)
-            generators.append(list((basis_element - projection).values))
-        lifted = list(lift_ustatistic(kernel, m).values)
-        r_layer = linalg.rank(generators)
-        r_lift = linalg.rank([lifted])
-        r_joint = linalg.rank(generators + [lifted])
-        if not (r_layer == r_lift == r_joint):
-            return False
+        lifted = lift_ustatistic(kernel, m)
+        for j in range(n):
+            subsets = SymmetricFunction(tuple(binom(z, j) for z in range(m + 1)))
+            if inner_product(lifted, subsets, measure) != 0:
+                return False
     return True
 
 
@@ -364,9 +325,10 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     for triple, primary, secondary in iter_decomposability_residuals(measure, n_max):
         residuals[triple] = primary
         cross[triple] = secondary
-        assert (primary == 0) == (secondary == 0), (
-            f"residual routes disagree at {triple}: {primary} vs {secondary}"
-        )
+        if (primary == 0) != (secondary == 0):
+            raise InternalError(
+                f"residual routes disagree at {triple}: {primary} vs {secondary}"
+            )
         if primary != 0 and witness is None:
             witness = triple
     verdict = Verdict.NOT_DECOMPOSABLE if witness else Verdict.DECOMPOSABLE_UP_TO_N_MAX

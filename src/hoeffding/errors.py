@@ -53,8 +53,9 @@ class InvalidMomentSequenceError(ParseError):
         )
 
 
-class RankDeficientError(HoeffdingError):
-    """A basis that must be linearly independent is not (deterministic input)."""
+class InternalError(HoeffdingError, AssertionError):
+    """A library invariant failed: an exact identity the code relies on does
+    not hold. Raised explicitly, so the check survives ``python -O``."""
 
 
 class ParameterRangeError(HoeffdingError, ValueError):

@@ -1,9 +1,15 @@
-"""Exact linear algebra over rationals.
+"""Orthogonal polynomials of a discrete weight, in exact rationals.
 
-Plain Gauss-Jordan elimination on lists of Fractions. Everything here is
-exact: pivots are tested against literal zero, so rank, null space and solver
-results carry no tolerance. Matrices at desk scale are tiny (dimension at
-most a dozen), so no attention is paid to pivot growth.
+The discrete Stieltjes procedure (Gautschi 2004, *Orthogonal Polynomials:
+Computation and Approximation*, sec. 2.2.3): the monic polynomials
+orthogonal under positive weights w(0..n) on the nodes 0..n obey
+
+    q_{k+1}(z) = (z - a_k) q_k(z) - b_k q_{k-1}(z),   q_{-1} = 0, q_0 = 1,
+    a_k = <z q_k, q_k> / <q_k, q_k>,   b_k = <q_k, q_k> / <q_{k-1}, q_{k-1}>,
+
+where <f, g> = sum_z w(z) f(z) g(z). Each polynomial is carried by its
+values on the nodes, so one step costs O(n) exact operations and no linear
+system is ever solved. Everything is a Fraction: no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -11,74 +17,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import RankDeficientError
 
-Matrix = list[list[Fraction]]
+def orthogonal_polynomials(
+    weights: Sequence[Fraction],
+) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    """(values on the nodes, squared norm) of q_0, ..., q_n.
 
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(map(Fraction, row)) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [xi - factor * xr for xi, xr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right null space of the matrix, one vector per free column."""
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly.
-
-    Raises RankDeficientError when the matrix is singular; for the Gram
-    matrices used by the projection engine that signals a deterministic
-    measure slipped through the preconditions.
+    The weights must all be positive. q_k has degree k and leading
+    coefficient 1, so q_0..q_k span the polynomials of degree <= k on the
+    nodes and q_k spans their orthogonal complement in degree <= k-1.
     """
-    n = len(matrix)
-    augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    reduced, pivots = _rref(augmented)
-    if pivots != list(range(n)):
-        raise RankDeficientError("singular system")
-    return [reduced[i][n] for i in range(n)]
-
-
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """True iff target lies in the linear span of the given vectors."""
-    base = [list(v) for v in vectors]
-    return rank(base + [list(target)]) == rank(base)
+    size = len(weights)
+    previous = [Fraction(0)] * size
+    current = [Fraction(1)] * size
+    previous_norm = Fraction(1)
+    out = []
+    for k in range(size):
+        squares = [w * q * q for w, q in zip(weights, current)]
+        norm = sum(squares, Fraction(0))
+        out.append((tuple(current), norm))
+        if k + 1 == size:
+            break
+        a = sum((z * s for z, s in enumerate(squares)), Fraction(0)) / norm
+        b = norm / previous_norm
+        current, previous = [
+            (z - a) * q - b * p for z, (q, p) in enumerate(zip(current, previous))
+        ], current
+        previous_norm = norm
+    return out

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import json
 
 from .errors import (
+    InternalError,
     ParameterRangeError,
     ParseError,
     ReinforcementRangeError,
@@ -356,7 +357,9 @@ class SampleReport:
     comparison: Optional[tuple[ComparisonRow, ...]] = None
 
     def __post_init__(self):
-        assert sum(self.zero_count_histogram) == self.trials
+        drawn = sum(self.zero_count_histogram)
+        if drawn != self.trials:
+            raise InternalError(f"histogram holds {drawn} draws, not {self.trials}")
 
     def max_abs_z(self) -> Optional[float]:
         if self.comparison is None:

@@ -1,17 +1,19 @@
-"""Shared test measures and brute-force enumeration oracles.
+"""Shared test measures, brute-force enumeration oracles and the Gram oracle.
 
 The oracles are deliberately naive: they enumerate binary configurations
 (or permutations, or subsets) and weight them with per-atom mixture
-probabilities. They share no code with the library paths they check, so
-exact agreement between the two is meaningful.
+probabilities, or project by Gauss-Jordan solves of Gram matrices. They
+share no code with the library paths they check, so exact agreement between
+the two is meaningful.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
-from hoeffding import DeFinettiMeasure
+from hoeffding import DeFinettiMeasure, SymmetricFunction
 
 F = Fraction
 
@@ -186,3 +188,111 @@ def enum_symmetrize(grid, v, w):
             count += 1
         out.append(total / count)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gram oracle: Hoeffding layers by Gauss-Jordan solves of Gram matrices
+# ---------------------------------------------------------------------------
+
+
+def _rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = [list(map(Fraction, row)) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [xi - factor * xr for xi, xr in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def rank(rows):
+    if not rows:
+        return 0
+    return len(_rref(rows)[1])
+
+
+def solve(matrix, rhs):
+    """Solve a square nonsingular system exactly."""
+    n = len(matrix)
+    augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    reduced, pivots = _rref(augmented)
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return [reduced[i][n] for i in range(n)]
+
+
+def in_span(vectors, target):
+    """True iff target lies in the linear span of the given vectors."""
+    base = [list(v) for v in vectors]
+    return rank(base + [list(target)]) == rank(base)
+
+
+def gram_inner_product(measure, t1_values, t2_values):
+    n = len(t1_values) - 1
+    return sum(
+        (
+            comb(n, z) * measure.config_probability(n, z) * t1_values[z] * t2_values[z]
+            for z in range(n + 1)
+        ),
+        F(0),
+    )
+
+
+def ustatistic_basis(measure, n, k):
+    """k+1 independent spanning elements of the order-k U-statistic space.
+
+    Element j is the lift of the arity-j all-zeros indicator kernel, the
+    function z -> C(z, j); independence is certified by a Gram rank test.
+    """
+    basis = [SymmetricFunction(tuple(F(comb(z, j)) for z in range(n + 1))) for j in range(k + 1)]
+    gram = [[gram_inner_product(measure, bi.values, bj.values) for bj in basis] for bi in basis]
+    if rank(gram) != k + 1:
+        raise ValueError(f"U-statistic basis is rank deficient at (n={n}, k={k})")
+    return basis
+
+
+def gram_projection(statistic, measure, k):
+    """Orthogonal projection onto the order-k U-statistic space (Gram solve)."""
+    basis = ustatistic_basis(measure, statistic.n, k)
+    gram = [[gram_inner_product(measure, bi.values, bj.values) for bj in basis] for bi in basis]
+    rhs = [gram_inner_product(measure, statistic.values, bi.values) for bi in basis]
+    out = SymmetricFunction.constant(statistic.n, 0)
+    for c, b in zip(solve(gram, rhs), basis):
+        out = out + b.scale(c)
+    return out
+
+
+def gram_decomposition(statistic, measure):
+    """Hoeffding components: projections onto successive orders, differenced."""
+    previous = gram_projection(statistic, measure, 0)
+    components = [previous]
+    for k in range(1, statistic.n + 1):
+        current = gram_projection(statistic, measure, k)
+        components.append(current - previous)
+        previous = current
+    return components
+
+
+def published_polya_coefficients(alpha, beta):
+    """The arity-3 Polya projection coefficients as printed in the literature,
+    in s = alpha + beta; they do NOT reproduce the exact projections."""
+    s = F(alpha) + F(beta)
+    first = (s + 1) / (s + 2)
+    second = -((s + 1) * (s + 4)) / ((s + 3) * (s + 2)) - (s + 1) / (s + 2)
+    third = (s + 4) / (s + 2)
+    return (first, second, third)

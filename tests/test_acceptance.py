@@ -41,7 +41,13 @@ from hoeffding import (
 from hoeffding.cli import dispatch
 from hoeffding.montecarlo import DEFAULT_Z_THRESHOLD
 from hoeffding.rationals import binom
-from conftest import all_measures, decomposable_measures, unif_half
+from conftest import (
+    all_measures,
+    decomposable_measures,
+    gram_decomposition,
+    published_polya_coefficients,
+    unif_half,
+)
 from test_engine import fitted_polya_coefficients
 from test_montecarlo import two_sample_z
 
@@ -165,7 +171,7 @@ def test_criterion_04_decomposition_invariants():
     assert worked.components[2].values == (F(1, 4), F(-1, 4), F(1, 4))
 
 
-@criterion(5, "inclusion-exclusion projections match the exact Gram route")
+@criterion(5, "inclusion-exclusion projections match the exact layers")
 def test_criterion_05_projection_formulas():
     rng = random.Random(103)
     for p in (F(1, 2), F(1, 3), F(2, 5)):
@@ -177,23 +183,26 @@ def test_criterion_05_projection_formulas():
                 for k in range(1, n + 1):
                     assert iid_projection(statistic, p, k) == report.components[k]
     # published Polya arity-3 coefficient formulas, cross-checked exactly
-    # against the authoritative Gram route
-    published = polya_projection_coefficients(1, 1)
+    # against the Gram-matrix oracle; the library returns the fitted ones
+    published = published_polya_coefficients(1, 1)
     assert published == (F(3, 4), F(-33, 20), F(3, 2))
     fitted = fitted_polya_coefficients(1, 1)
+    assert polya_projection_coefficients(1, 1) == fitted
     if fitted != published:
         print(
             "ACCEPTANCE  5 FINDING published arity-3 Polya coefficients "
-            f"{tuple(map(str, published))} do not reproduce the Gram-route "
+            f"{tuple(map(str, published))} do not reproduce the exact "
             f"projections; exact fitted coefficients are {tuple(map(str, fitted))} "
             "(in s = alpha+beta: (s+1)/(s+3), -2(s+1)/(s+4), (s+2)/(s+4)); "
-            "the Gram route is authoritative"
+            "polya_projection_coefficients returns the fitted forms"
         )
-    # the Gram route's own invariants at n = 3 under Polya(1,1)
+    # the layers' own invariants at n = 3 under Polya(1,1), and their
+    # agreement with the Gram-matrix oracle
     measure = DeFinettiMeasure.beta(1, 1)
     for _ in range(10):
         statistic = random_statistic(3, rng)
         report = hoeffding_decomposition(statistic, measure)
+        assert list(report.components) == gram_decomposition(statistic, measure)
         total = SymmetricFunction.constant(3, 0)
         for component in report.components:
             total = total + component

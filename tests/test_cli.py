@@ -10,6 +10,7 @@ import pytest
 
 from hoeffding import (
     DeFinettiMeasure,
+    InternalError,
     SymmetricFunction,
     check_decomposable,
     classify,
@@ -270,6 +271,18 @@ class TestExitCodeContract:
     def test_invalid_invocations_never_exit_zero(self, argv, tmp_path):
         code, _, _ = dispatch(argv)
         assert code == 2
+
+    def test_internal_error_is_not_a_validation_error(self, files, monkeypatch):
+        # a broken library invariant must surface, not pass as exit code 2
+        import hoeffding.engine
+
+        monkeypatch.setattr(
+            hoeffding.engine,
+            "_weak_residual_row",
+            lambda measure, n, u: SymmetricFunction.constant(n - 1, 0),
+        )
+        with pytest.raises(InternalError):
+            dispatch(["check", "--measure", files["unif_half.json"], "--max-n", "2"])
 
     def test_fuzzed_flag_sets_never_exit_zero(self):
         # random token soup: none of it can form a successful command (the

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from hoeffding import (
+    Classification,
     ClassificationKind,
     DeFinettiMeasure,
     IndexRangeError,
+    InternalError,
     MomentRegionError,
     ParameterRangeError,
     ZeroDenominatorError,
@@ -355,3 +357,16 @@ class TestClassify:
     def test_n_max_floor(self):
         with pytest.raises(IndexRangeError):
             classify(beta11(), 2)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": ClassificationKind.IID},
+            {"kind": ClassificationKind.IID, "iid_p": F(1)},
+            {"kind": ClassificationKind.POLYA, "polya_alpha": F(1)},
+            {"kind": ClassificationKind.NOT_DECOMPOSABLE},
+        ],
+    )
+    def test_inconsistent_fields_raise(self, fields):
+        with pytest.raises(InternalError):
+            Classification(**fields)

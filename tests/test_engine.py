@@ -1,23 +1,27 @@
 """Projection engine and the three decomposability routes.
 
-The exact Gram-matrix projection is the oracle of record for everything
-here: the inclusion-exclusion route must match it exactly, the published
-closed-form coefficients for arity-3 statistics of Polya sequences are
-compared against it (and documented as NOT matching, with the exact fitted
-coefficients asserted instead), and the residual routes must agree with
-enumeration and with each other through the exact proportionality identity.
+The Gram-matrix projection in ``conftest`` is the oracle of record for
+everything here: the recurrence layers must equal it exactly, so must the
+inclusion-exclusion route, the library's arity-3 Polya coefficients are the
+ones fitted exactly against it (the published closed forms are documented
+as NOT matching), and the residual routes must agree with enumeration and
+with each other through the exact proportionality identity.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 from hoeffding import (
     DeFinettiMeasure,
+    DeterministicMeasureError,
     IndexRangeError,
     ParameterRangeError,
-    RankDeficientError,
     SymmetricFunction,
     Verdict,
     canonical_degenerate_kernel,
@@ -32,18 +36,22 @@ from hoeffding import (
     level_subspace_check,
     lift_ustatistic,
     polya_projection_coefficients,
-    ustatistic_basis,
     weak_independence_residual,
 )
-from hoeffding.linalg import in_span, rank, solve
 from hoeffding.rationals import binom
 from conftest import (
     beta11,
     dirac12,
     dirac13,
     enum_conditional_zero_count,
+    gram_decomposition,
+    in_span,
+    published_polya_coefficients,
+    rank,
+    solve,
     twopoint,
     unif_half,
+    ustatistic_basis,
 )
 
 F = Fraction
@@ -99,8 +107,8 @@ class TestUStatisticBasis:
 
     def test_rank_deficient_for_deterministic_measure(self):
         ends = DeFinettiMeasure.discrete([(0, F(1, 2)), (1, F(1, 2))])
-        with pytest.raises(RankDeficientError):
-            ustatistic_basis(ends, 2, 2)
+        with pytest.raises(DeterministicMeasureError):
+            hoeffding_decomposition(SymmetricFunction.constant(2, 1), ends)
 
 
 class TestHoeffdingDecomposition:
@@ -152,9 +160,65 @@ class TestHoeffdingDecomposition:
                 else:
                     assert again.components[j].is_zero()
 
+    def test_matches_gram_oracle(self, any_measure):
+        rng = random.Random(67)
+        for n in range(1, 9):
+            t = random_function(n, rng)
+            report = hoeffding_decomposition(t, any_measure)
+            assert list(report.components) == gram_decomposition(t, any_measure)
+
     def test_digest_matches_measure(self, any_measure):
         t = SymmetricFunction.constant(2, 1)
         assert hoeffding_decomposition(t, any_measure).measure_digest == any_measure.describe()
+
+
+def hypergeometric(upper, lower, x):
+    """Terminating pFq(upper; lower; x): the sum stops at the first vanishing
+    upper Pochhammer factor, before any lower one (-n) reaches zero."""
+    total, term, i = F(0), F(1), 0
+    while term != 0:
+        total += term
+        for a in upper:
+            term *= a + i
+        if term == 0:
+            break
+        for b in lower:
+            term /= b + i
+        i += 1
+        term *= F(x) / i
+    return total
+
+
+class TestClosedFormLayers:
+    """Layer k is proportional to a classical orthogonal polynomial in the
+    zero count: Krawtchouk under a point mass (Diaconis & Griffiths 2012),
+    Hahn under a Beta law (Koekoek, Lesky & Swarttouw 2010, ch. 9)."""
+
+    @staticmethod
+    def assert_layers_follow(measure, polynomial):
+        rng = random.Random(71)
+        for n in range(1, 11):
+            report = hoeffding_decomposition(random_function(n, rng), measure)
+            for k in range(n + 1):
+                component = report.components[k]
+                assert component[0] != 0
+                expected = tuple(component[0] * polynomial(n, k, z) for z in range(n + 1))
+                assert component.values == expected
+
+    @pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(3, 4)])
+    def test_krawtchouk_under_point_mass(self, p):
+        self.assert_layers_follow(
+            DeFinettiMeasure.dirac(p),
+            lambda n, k, z: hypergeometric((-k, -z), (-n,), 1 / (1 - p)),
+        )
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (F(3, 2), 2), (2, 3), (F(1, 2), F(5, 3))])
+    def test_hahn_under_beta(self, alpha, beta):
+        alpha, beta = F(alpha), F(beta)
+        self.assert_layers_follow(
+            DeFinettiMeasure.beta(alpha, beta),
+            lambda n, k, z: hypergeometric((-k, k + alpha + beta - 1, -z), (beta, -n), 1),
+        )
 
 
 class TestIidProjection:
@@ -187,7 +251,7 @@ class TestIidProjection:
 
 
 def fitted_polya_coefficients(alpha, beta):
-    """Exact coefficients expressing the Gram-route components of arity-3
+    """Exact coefficients expressing the Gram-oracle components of arity-3
     statistics through lifted centered nested conditionals (the oracle fit)."""
     measure = DeFinettiMeasure.beta(alpha, beta)
     fits = []
@@ -199,13 +263,13 @@ def fitted_polya_coefficients(alpha, beta):
             a: lift_ustatistic(cond_expectation_prefix(centered, measure, a), 3)
             for a in (1, 2)
         }
-        report = hoeffding_decomposition(t, measure)
+        components = gram_decomposition(t, measure)
         pivot = next(z for z in range(4) if lifts[1][z] != 0)
-        first = report.components[1][pivot] / lifts[1][pivot]
+        first = components[1][pivot] / lifts[1][pivot]
         matrix = [[lifts[1][0], lifts[2][0]], [lifts[1][1], lifts[2][1]]]
-        pair = solve(matrix, [report.components[2][0], report.components[2][1]])
+        pair = solve(matrix, [components[2][0], components[2][1]])
         for z in range(4):
-            assert report.components[2][z] == pair[0] * lifts[1][z] + pair[1] * lifts[2][z]
+            assert components[2][z] == pair[0] * lifts[1][z] + pair[1] * lifts[2][z]
         fits.append((first, pair[0], pair[1]))
     assert fits[0] == fits[1]
     return fits[0]
@@ -213,7 +277,8 @@ def fitted_polya_coefficients(alpha, beta):
 
 class TestPolyaProjectionCoefficients:
     def test_published_closed_forms(self):
-        assert polya_projection_coefficients(1, 1) == (F(3, 4), F(-33, 20), F(3, 2))
+        assert published_polya_coefficients(1, 1) == (F(3, 4), F(-33, 20), F(3, 2))
+        assert polya_projection_coefficients(1, 1) == (F(3, 5), F(-1), F(2, 3))
 
     def test_iid_limit(self):
         first, _, third = polya_projection_coefficients(500, 500)
@@ -227,13 +292,14 @@ class TestPolyaProjectionCoefficients:
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 3), (F(3, 2), 2)])
     def test_gram_route_disagrees_with_published_forms(self, alpha, beta):
         # Finding, kept as a regression: the published coefficient formulas do
-        # not reproduce the exact projections. The Gram route is authoritative;
-        # the exact fitted coefficients in s = alpha + beta are
-        # ((s+1)/(s+3), -2(s+1)/(s+4), (s+2)/(s+4)).
+        # not reproduce the exact projections. The exact fitted coefficients
+        # in s = alpha + beta are ((s+1)/(s+3), -2(s+1)/(s+4), (s+2)/(s+4)),
+        # and the library returns them.
         s = F(alpha) + F(beta)
         fitted = fitted_polya_coefficients(alpha, beta)
         assert fitted == ((s + 1) / (s + 3), -2 * (s + 1) / (s + 4), (s + 2) / (s + 4))
-        assert fitted != polya_projection_coefficients(alpha, beta)
+        assert fitted == polya_projection_coefficients(alpha, beta)
+        assert fitted != published_polya_coefficients(alpha, beta)
 
 
 class TestDecomposabilityResidual:
@@ -340,3 +406,36 @@ class TestCheckDecomposable:
         report = check_decomposable(any_measure, 4)
         for triple, value in report.residuals.items():
             assert (value == 0) == (report.cross_residuals[triple] == 0)
+
+    def test_route_disagreement_raises_under_optimize(self):
+        # zeroing the weak route on the two-point mixture breaks the exact
+        # route identity at (3, 2, 0); the check must survive python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from hoeffding import (DeFinettiMeasure, InternalError,
+                                   SymmetricFunction, check_decomposable, engine)
+            if __debug__:
+                sys.exit("not running under -O")
+            engine._weak_residual_row = (
+                lambda measure, n, u: SymmetricFunction.constant(n - 1, 0))
+            twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+            try:
+                check_decomposable(twopoint, 4)
+            except InternalError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("no InternalError raised")
+            """
+        )
+        import hoeffding
+
+        source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("residual routes disagree at (3, 2, 0)")

@@ -13,10 +13,12 @@ import pytest
 
 from hoeffding import (
     DeFinettiMeasure,
+    InternalError,
     ParameterRangeError,
     ParseError,
     ReinforcementRangeError,
     ReinforcementFunction,
+    SampleReport,
     UnsamplableKindError,
     UrnSpec,
     compare_exact_empirical,
@@ -202,6 +204,10 @@ class TestCompareExactEmpirical:
 
     def test_histogram_sums_to_trials(self, polya11_report):
         assert sum(polya11_report.zero_count_histogram) == TRIALS
+
+    def test_inconsistent_histogram_raises(self):
+        with pytest.raises(InternalError):
+            SampleReport(n=2, trials=5, seed=1, zero_count_histogram=(1, 2, 1))
 
     def test_bitwise_reproducible(self):
         a = compare_exact_empirical(beta23(), 4, 1000, seed=77)

@@ -21,7 +21,6 @@ from hoeffding import (
     parse_statistic_spec,
     symmetrize,
 )
-from hoeffding.linalg import rank
 from hoeffding.symmetric import render_statistic_spec
 from conftest import (
     dirac12,
@@ -30,6 +29,7 @@ from conftest import (
     enum_inner_product,
     enum_lift,
     enum_symmetrize,
+    rank,
     twopoint,
     unif_half,
 )
