@@ -163,6 +163,15 @@ def parse_report(text: str):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("report document must be a JSON object")
+    try:
+        return _report_from_payload(payload)
+    except KeyError as exc:
+        raise ParseError(f"missing report field: {exc}") from exc
+
+
+def _report_from_payload(payload: dict):
     tag = payload.get("report")
     if tag == "decomposition":
         return HoeffdingDecomposition(
@@ -257,41 +266,50 @@ def _render_decomposition(
     return "\n".join(lines) + "\n"
 
 
-def _witness_line(report: DecomposabilityReport) -> str:
-    n, u, z = report.witness
-    residual = report.residuals[report.witness]
-    return f"witness\tn={n} u={u} z={z} residual={_frac(residual)}"
+def _render_decomposability(
+    report: DecomposabilityReport, fmt: str, method: str = "all", definition=None
+) -> str:
+    """Residual table of a check; both routes' columns under method "all".
 
-
-def _render_decomposability(report: DecomposabilityReport, fmt: str) -> str:
+    A single route renders only its own column, headed ``residual``.
+    ``definition`` rows ``(n, equal)`` from the subspace route follow the
+    residual table.
+    """
     triples = sorted(report.residuals)
+    if method == "all":
+        columns = {"prop1": report.residuals, "weakindep": report.cross_residuals}
+    elif method == "prop1":
+        columns = {"residual": report.residuals}
+    else:
+        columns = {"residual": report.cross_residuals}
     if fmt == "json":
-        return json.dumps(
-            {
-                "report": "decomposability",
-                "n_max": report.n_max,
-                "verdict": report.verdict.value,
-                "witness": list(report.witness) if report.witness else None,
-                "residuals": [
-                    {
-                        "n": n,
-                        "u": u,
-                        "z": z,
-                        "prop1": _frac(report.residuals[(n, u, z)]),
-                        "weakindep": _frac(report.cross_residuals[(n, u, z)]),
-                    }
-                    for (n, u, z) in triples
-                ],
-            }
-        )
+        payload = {"report": "decomposability", "n_max": report.n_max}
+        if method != "all":
+            payload["method"] = method
+        payload["verdict"] = report.verdict.value
+        payload["witness"] = list(report.witness) if report.witness else None
+        payload["residuals"] = [
+            {"n": n, "u": u, "z": z}
+            | {name: _frac(source[(n, u, z)]) for name, source in columns.items()}
+            for (n, u, z) in triples
+        ]
+        if definition is not None:
+            payload["definition"] = [{"n": n, "equal": ok} for n, ok in definition]
+        return json.dumps(payload) + "\n"
     lines = [f"verdict\t{report.verdict.value}"]
     if report.witness is not None:
-        lines.append(_witness_line(report))
-    lines.append("n\tu\tz\tprop1\tweakindep")
-    for n, u, z in triples:
-        lines.append(
-            f"{n}\t{u}\t{z}\t{_frac(report.residuals[(n, u, z)])}"
-            f"\t{_frac(report.cross_residuals[(n, u, z)])}"
+        n, u, z = report.witness
+        residual = next(iter(columns.values()))[report.witness]
+        lines.append(f"witness\tn={n} u={u} z={z} residual={_frac(residual)}")
+    lines.append("\t".join(["n", "u", "z", *columns]))
+    for triple in triples:
+        cells = [str(i) for i in triple]
+        cells += [_frac(source[triple]) for source in columns.values()]
+        lines.append("\t".join(cells))
+    if definition is not None:
+        lines.append("definition\tn\tequal")
+        lines.extend(
+            f"definition\t{n}\t{'true' if ok else 'false'}" for n, ok in definition
         )
     return "\n".join(lines) + "\n"
 
@@ -459,47 +477,8 @@ def _cmd_check(args) -> tuple[int, str]:
             code = 1
 
     if method == "definition":
-        return code, _render_definition_only(
-            definition_rows, args.max_n, args.format
-        )
-    if method == "all":
-        rendered = render_report(report, args.format)
-        if args.format == "json":
-            payload = json.loads(rendered)
-            payload["definition"] = [
-                {"n": n, "equal": ok} for n, ok in definition_rows
-            ]
-            return code, json.dumps(payload) + "\n"
-        extra = ["definition\tn\tequal"] + [
-            f"definition\t{n}\t{'true' if ok else 'false'}"
-            for n, ok in definition_rows
-        ]
-        return code, rendered + "\n".join(extra) + "\n"
-    # single residual route: render that route's column only
-    triples = sorted(report.residuals)
-    source = report.residuals if method == "prop1" else report.cross_residuals
-    if args.format == "json":
-        return code, json.dumps(
-            {
-                "report": "decomposability",
-                "n_max": report.n_max,
-                "method": method,
-                "verdict": report.verdict.value,
-                "witness": list(report.witness) if report.witness else None,
-                "residuals": [
-                    {"n": n, "u": u, "z": z, "residual": _frac(source[(n, u, z)])}
-                    for (n, u, z) in triples
-                ],
-            }
-        ) + "\n"
-    lines = [f"verdict\t{report.verdict.value}"]
-    if report.witness is not None:
-        n, u, z = report.witness
-        lines.append(f"witness\tn={n} u={u} z={z} residual={_frac(source[report.witness])}")
-    lines.append("n\tu\tz\tresidual")
-    for n, u, z in triples:
-        lines.append(f"{n}\t{u}\t{z}\t{_frac(source[(n, u, z)])}")
-    return code, "\n".join(lines) + "\n"
+        return code, _render_definition_only(definition_rows, args.max_n, args.format)
+    return code, _render_decomposability(report, args.format, method, definition_rows)
 
 
 def _render_definition_only(rows, n_max: int, fmt: str) -> str:

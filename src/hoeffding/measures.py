@@ -14,15 +14,19 @@ of i.i.d. Bernoulli sequences; the mixing law on [0,1] determines everything.
     A truncated moment sequence ``mu_0..mu_M`` validated for complete
     monotonicity; every operation fails loudly past order ``M``.
 
-All derived quantities reduce to signed forward differences of the moment
-sequence, so the three kinds share one code path:
+The kinds differ only in their moments. Every derived quantity comes from
+the configuration probabilities ``P_n(j)``, the probability that a fixed
+length-n configuration contains exactly j zeros, and these are built one
+row ``P_n(0..n)`` at a time by the marginalisation identity
 
-    P_n(j zeros) = sum_{i=0}^{j} (-1)^i C(j,i) mu_{n-j+i}
+    P_n(0) = mu_n,    P_n(j+1) = P_{n-1}(j) - P_n(j)
 
-which is the probability that a fixed length-n configuration contains
-exactly j zeros. BETA and DISCRETE keep per-kind closed forms as internal
-cross-checks. Values are immutable and every operation is a pure function,
-so instances are safe to share across threads.
+(a length-(n-1) configuration extends by a one or a zero), one subtraction
+per entry. The identity ``P_{n-1}(j) = P_n(j) + P_n(j+1)`` also means a
+positive row n makes every lower row positive, so non-determinism up to
+order n is a test of row n alone. Rows are cached per instance; a row is
+a pure function of the moments, so concurrent fills store equal values and
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class DeFinettiMeasure:
     atoms: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
     moment_values: Optional[tuple[Fraction, ...]] = None
     _moments: dict = field(default_factory=dict, compare=False, repr=False)
-    _configs: dict = field(default_factory=dict, compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- factories -------------------------------------------------------
 
@@ -104,10 +108,9 @@ class DeFinettiMeasure:
         if vals[0] != 1:
             raise InvalidMomentSequenceError(0, 0)
         measure = cls(kind=MeasureKind.MOMENTS, moment_values=vals)
-        order = len(vals) - 1
-        for n in range(order + 1):
-            for j in range(n + 1):
-                if measure.config_probability(n, j) < 0:
+        for n in range(len(vals)):
+            for j, value in enumerate(measure._row(n)):
+                if value < 0:
                     raise InvalidMomentSequenceError(n, j)
         return measure
 
@@ -174,50 +177,27 @@ class DeFinettiMeasure:
         return value
 
     def config_probability(self, n: int, zeros: int) -> Fraction:
-        """P(a fixed length-n configuration with the given zero count).
-
-        Computed as the signed forward difference of the moment sequence,
-        identically for all three kinds.
-        """
+        """P(a fixed length-n configuration with the given zero count)."""
         if n < 0 or not 0 <= zeros <= n:
             raise IndexRangeError(f"need 0 <= zeros <= n, got n={n} zeros={zeros}")
-        key = (n, zeros)
-        cached = self._configs.get(key)
-        if cached is not None:
-            return cached
         self._require_order(n)
-        value = sum(
-            ((-1) ** i * binom(zeros, i) * self.moment(n - zeros + i) for i in range(zeros + 1)),
-            Fraction(0),
-        )
-        self._configs[key] = value
-        return value
+        return self._row(n)[zeros]
 
-    def config_probability_direct(self, n: int, zeros: int) -> Fraction:
-        """Per-kind closed form of the same probability (cross-check path).
-
-        BETA integrates the configuration against the Beta density as a
-        rational product; DISCRETE sums ``w * loc^(n-zeros) * (1-loc)^zeros``.
-        MOMENTS has no closed form and falls back to the difference path.
-        """
-        if n < 0 or not 0 <= zeros <= n:
-            raise IndexRangeError(f"need 0 <= zeros <= n, got n={n} zeros={zeros}")
-        if self.kind is MeasureKind.BETA:
-            a, b = self.beta_alpha, self.beta_beta
-            value = Fraction(1)
-            for i in range(n - zeros):
-                value *= a + i
-            for i in range(zeros):
-                value *= b + i
-            for i in range(n):
-                value /= a + b + i
-            return value
-        if self.kind is MeasureKind.DISCRETE:
-            return sum(
-                (w * loc ** (n - zeros) * (1 - loc) ** zeros for loc, w in self.atoms),
-                Fraction(0),
-            )
-        return self.config_probability(n, zeros)
+    def _row(self, n: int) -> tuple[Fraction, ...]:
+        """``(P_n(0), ..., P_n(n))``, extending the cached rows up to order n."""
+        row = self._rows.get(n)
+        if row is not None:
+            return row
+        start = n
+        while start > 0 and start - 1 not in self._rows:
+            start -= 1
+        row = self._rows[start - 1] if start else ()
+        for m in range(start, n + 1):
+            current = [self.moment(m)]
+            for j in range(m):
+                current.append(row[j] - current[j])
+            row = self._rows.setdefault(m, tuple(current))
+        return row
 
     # -- conditional and predictive probabilities ------------------------
 
@@ -249,16 +229,13 @@ class DeFinettiMeasure:
         """True iff every configuration probability up to order n_max is positive.
 
         Equivalent to the mixing law's support not being contained in {0, 1},
-        once n_max >= 2.
+        once n_max >= 2. Row n_max alone decides it: each lower entry is the
+        sum of two entries of the row above.
         """
         if n_max < 0:
             raise IndexRangeError("n_max must be non-negative")
         self._require_order(n_max)
-        return all(
-            self.config_probability(n, j) > 0
-            for n in range(n_max + 1)
-            for j in range(n + 1)
-        )
+        return all(value > 0 for value in self._row(n_max))
 
     def require_nondeterministic(self, n_max: int) -> None:
         if not self.is_nondeterministic(n_max):

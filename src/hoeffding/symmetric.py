@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
 )
 from .measures import DeFinettiMeasure
-from .rationals import binom, format_rational, parse_rational
+from .rationals import binom, parse_rational
 
 
 @dataclass(frozen=True)
@@ -293,9 +293,3 @@ def parse_statistic_spec(document: str) -> SymmetricFunction:
     if not isinstance(values, list) or len(values) != n + 1:
         raise ParseError(f"values must be a list of exactly {n + 1} rationals")
     return SymmetricFunction(tuple(parse_rational(v) for v in values))
-
-
-def render_statistic_spec(statistic: SymmetricFunction) -> str:
-    return json.dumps(
-        {"n": statistic.n, "values": [format_rational(v) for v in statistic.values]}
-    )

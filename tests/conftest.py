@@ -1,10 +1,12 @@
-"""Shared test measures, brute-force enumeration oracles and the Gram oracle.
+"""Shared test measures, configuration-probability oracles, brute-force
+enumeration oracles and the Gram oracle.
 
-The oracles are deliberately naive: they enumerate binary configurations
-(or permutations, or subsets) and weight them with per-atom mixture
-probabilities, or project by Gauss-Jordan solves of Gram matrices. They
-share no code with the library paths they check, so exact agreement between
-the two is meaningful.
+The oracles are deliberately naive: they evaluate configuration
+probabilities by per-kind closed forms or alternating binomial sums,
+enumerate binary configurations (or permutations, or subsets) and weight
+them with per-atom mixture probabilities, or project by Gauss-Jordan solves
+of Gram matrices. They share no code with the library paths they check, so
+exact agreement between the two is meaningful.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import comb
 
 import pytest
 
-from hoeffding import DeFinettiMeasure, SymmetricFunction
+from hoeffding import DeFinettiMeasure, MeasureKind, SymmetricFunction
 
 F = Fraction
 
@@ -67,6 +69,58 @@ def any_measure(request):
 @pytest.fixture(params=DECOMPOSABLE_FACTORIES, ids=lambda f: f.__name__)
 def decomposable_measure(request):
     return request.param()
+
+
+# ---------------------------------------------------------------------------
+# configuration-probability oracles: per-kind closed forms, alternating sums
+# ---------------------------------------------------------------------------
+
+
+def closed_form_config_probability(measure, n, j) -> Fraction:
+    """P_n(j) without the moment sequence: the Beta integral as a rational
+    product, or the mixture sum ``w * loc^(n-j) * (1-loc)^j`` over atoms."""
+    if measure.kind is MeasureKind.BETA:
+        a, b = measure.beta_alpha, measure.beta_beta
+        value = F(1)
+        for i in range(n - j):
+            value *= a + i
+        for i in range(j):
+            value *= b + i
+        for i in range(n):
+            value /= a + b + i
+        return value
+    if measure.kind is MeasureKind.DISCRETE:
+        return sum((w * loc ** (n - j) * (1 - loc) ** j for loc, w in measure.atoms), F(0))
+    raise ValueError("a moment sequence has no closed form")
+
+
+def alternating_sum_config_probability(moments, n, j) -> Fraction:
+    """P_n(j) = sum_i (-1)^i C(j,i) mu_{n-j+i}, the j-th forward difference."""
+    return sum(((-1) ** i * comb(j, i) * moments[n - j + i] for i in range(j + 1)), F(0))
+
+
+def config_probability_oracle(measure, n, j) -> Fraction:
+    if measure.kind is MeasureKind.MOMENTS:
+        return alternating_sum_config_probability(measure.moment_values, n, j)
+    return closed_form_config_probability(measure, n, j)
+
+
+def nondeterminism_scan(measure, n_max) -> bool:
+    """Every entry of every row up to n_max is positive (the O(n^2) scan)."""
+    return all(
+        config_probability_oracle(measure, n, j) > 0
+        for n in range(n_max + 1)
+        for j in range(n + 1)
+    )
+
+
+def first_negative_configuration(moments):
+    """First (n, j) in (n, j) order with a negative alternating sum, or None."""
+    for n in range(len(moments)):
+        for j in range(n + 1):
+            if alternating_sum_config_probability(moments, n, j) < 0:
+                return (n, j)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hoeffding import (
     DeFinettiMeasure,
     InternalError,
+    ParseError,
     SymmetricFunction,
     check_decomposable,
     classify,
@@ -27,6 +29,8 @@ UNIF_HALF = '{"type": "truncated_uniform", "epsilon": "1/2", "order": 12}'
 DIRAC12 = '{"type": "discrete", "atoms": [["1/2", "1"]]}'
 STATISTIC = '{"n": 2, "values": ["0", "0", "1"]}'
 IDENTITY_URN = '{"f": {"type": "identity"}, "r": 1, "b": 1}'
+TWOPOINT = '{"type": "discrete", "atoms": [["1/3", "1/2"], ["2/3", "1/2"]]}'
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -38,6 +42,7 @@ def files(tmp_path):
         "dirac12.json": DIRAC12,
         "stat.json": STATISTIC,
         "urn.json": IDENTITY_URN,
+        "twopoint.json": TWOPOINT,
     }.items():
         path = tmp_path / name
         path.write_text(content, encoding="utf-8")
@@ -333,6 +338,43 @@ class TestExitCodeContract:
         assert code == 2 and "trials" in err
 
 
+GOLDEN_CASES = [
+    ["moments", "--measure", "beta11.json", "--max-n", "3"],
+    ["probabilities", "--measure", "twopoint.json", "--n", "3"],
+    ["kernel", "--measure", "unif_half.json", "--n", "2"],
+    ["project", "--measure", "dirac12.json", "--statistic", "stat.json"],
+    *(
+        ["check", "--measure", measure, "--max-n", "3", "--method", method]
+        for measure in ("beta11.json", "unif_half.json")
+        for method in ("prop1", "weakindep", "definition", "all")
+    ),
+    ["classify", "--measure", "beta11.json", "--max-n", "4"],
+    ["classify", "--measure", "dirac12.json", "--max-n", "3"],
+    ["classify", "--measure", "unif_half.json", "--max-n", "4"],
+    ["recover-beta", "--c1", "1/2", "--c2", "3/10"],
+    ["recursion", "--measure", "unif_half.json", "--max-n", "4"],
+    ["simulate", "--measure", "beta11.json", "--n", "4", "--trials", "1000", "--seed", "7"],
+    ["simulate", "--urn", "urn.json", "--n", "4", "--trials", "1000", "--seed", "7"],
+]
+
+
+class TestGoldenOutput:
+    """Exact stdout and exit code of every verb, pinned in ``cli_golden.json``.
+
+    The file maps each argv (input files by name) to the output recorded
+    before the measure layer and the check renderer were rewritten; any
+    byte of difference is a change of the CLI contract.
+    """
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=" ".join)
+    def test_matches_recorded_output(self, files, case, fmt):
+        expected = GOLDEN[" ".join(case + ["--format", fmt])]
+        argv = [files.get(token, token) for token in case] + ["--format", fmt]
+        code, out, err = dispatch(argv)
+        assert (code, out, err) == (expected["code"], expected["stdout"], "")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_byte_identical_across_runs(self, files, fmt):
@@ -460,3 +502,10 @@ class TestJsonRoundTrip:
             UrnSpec(f=ReinforcementFunction.identity(), r=1, b=1), 4, 1000, seed=3
         )
         assert parse_report(render_report(report, "json")) == report
+
+
+class TestParseReportErrors:
+    @pytest.mark.parametrize("text", ["[]", '{"report": "decomposition"}'])
+    def test_malformed_document_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_report(text)

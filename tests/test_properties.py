@@ -1,25 +1,41 @@
 """Property-based differential tests over random rational mixing laws.
 
 Beta laws with small rational parameters and discrete laws with one to
-three atoms in (0, 1) are drawn by hypothesis. The recurrence layers must
-equal the Gram-matrix oracle of ``conftest`` exactly, and the subspace route
-must agree with the residual route level by level. Examples are capped and
-derandomized so the suite costs a few seconds and repeats exactly.
+three atoms in (0, 1), or in [0, 1] where endpoint atoms are allowed, are
+drawn by hypothesis. The configuration-probability rows must equal the
+closed-form and alternating-sum oracles of ``conftest``, the one-row
+non-determinism test must equal the full scan, and moment validation must
+reject at the scan's first negative entry. The recurrence layers must equal
+the Gram-matrix oracle exactly, and the subspace route must agree with the
+residual route level by level. Examples are capped and derandomized so the
+suite costs a few seconds and repeats exactly.
 """
 
+import sys
+import threading
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hoeffding import (
     DeFinettiMeasure,
+    InvalidMomentSequenceError,
     SymmetricFunction,
     decomposability_residual,
     hoeffding_decomposition,
     level_subspace_check,
 )
-from conftest import gram_decomposition
+from conftest import (
+    alternating_sum_config_probability,
+    closed_form_config_probability,
+    config_probability_oracle,
+    first_negative_configuration,
+    gram_decomposition,
+    nondeterminism_scan,
+)
 
 F = Fraction
 
@@ -46,8 +62,8 @@ def beta_laws(draw):
 
 
 @st.composite
-def discrete_laws(draw):
-    locations = draw(st.lists(unit_rationals(), min_size=1, max_size=3, unique=True))
+def discrete_laws(draw, location=unit_rationals()):
+    locations = draw(st.lists(location, min_size=1, max_size=3, unique=True))
     masses = draw(
         st.lists(st.integers(1, 5), min_size=len(locations), max_size=len(locations))
     )
@@ -56,6 +72,34 @@ def discrete_laws(draw):
 
 
 measures = st.one_of(beta_laws(), discrete_laws())
+# endpoint atoms give zero configuration probabilities, and {0, 1} support
+# gives deterministic laws
+closed_form_laws = st.one_of(
+    beta_laws(),
+    discrete_laws(st.one_of(st.sampled_from([F(0), F(1)]), unit_rationals())),
+)
+
+
+@st.composite
+def moment_laws(draw, max_order=10):
+    """A MOMENTS measure from the first moments of a random law."""
+    law = draw(closed_form_laws)
+    order = draw(st.integers(0, max_order))
+    return DeFinettiMeasure.from_moments([law.moment(k) for k in range(order + 1)])
+
+
+@st.composite
+def moment_sequences(draw):
+    """mu_0 = 1 followed by random rationals in [0, 1], or by a random law's
+    moments with one of them shifted; often not completely monotone."""
+    if draw(st.booleans()):
+        unit = st.builds(F, st.integers(0, 9), st.integers(1, 9)).filter(lambda v: v <= 1)
+        return [F(1)] + draw(st.lists(unit, max_size=7))
+    law = draw(closed_form_laws)
+    values = [law.moment(k) for k in range(draw(st.integers(2, 8)) + 1)]
+    index = draw(st.integers(1, len(values) - 1))
+    values[index] += F(draw(st.integers(-4, 4)), draw(st.integers(8, 256)))
+    return values
 
 
 @st.composite
@@ -87,3 +131,99 @@ def test_subspace_route_matches_residual_route(measure, n):
         for z in range(n)
     )
     assert level_subspace_check(measure, n) == residuals_vanish
+
+
+@SETTINGS
+@given(measure=closed_form_laws, n_max=st.integers(0, 12))
+def test_rows_equal_closed_form(measure, n_max):
+    for n in range(n_max + 1):
+        for j in range(n + 1):
+            assert measure.config_probability(n, j) == closed_form_config_probability(
+                measure, n, j
+            )
+
+
+@SETTINGS
+@given(measure=moment_laws())
+def test_moment_rows_equal_alternating_sum(measure):
+    for n in range(measure.max_order + 1):
+        for j in range(n + 1):
+            assert measure.config_probability(n, j) == alternating_sum_config_probability(
+                measure.moment_values, n, j
+            )
+
+
+@SETTINGS
+@given(
+    measure=st.one_of(closed_form_laws, moment_laws(max_order=12)),
+    n_max=st.integers(0, 12),
+)
+def test_one_row_nondeterminism_equals_full_scan(measure, n_max):
+    if measure.max_order is not None:
+        n_max = min(n_max, measure.max_order)
+    assert measure.is_nondeterministic(n_max) == nondeterminism_scan(measure, n_max)
+
+
+@SETTINGS
+@given(values=moment_sequences())
+def test_from_moments_rejects_at_first_negative_entry(values):
+    expected = first_negative_configuration(values)
+    if expected is None:
+        assert DeFinettiMeasure.from_moments(values).moment_values == tuple(values)
+    else:
+        with pytest.raises(InvalidMomentSequenceError) as err:
+            DeFinettiMeasure.from_moments(values)
+        assert (err.value.order, err.value.zeros) == expected
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: DeFinettiMeasure.beta(F(3, 2), 2),
+        lambda: DeFinettiMeasure.discrete([(F(0), F(1, 4)), (F(2, 5), F(3, 4))]),
+    ],
+    ids=["beta", "discrete"],
+)
+def test_concurrent_fills_match_single_threaded_oracle(factory):
+    # four threads extend one fresh row cache in different orders; a lost or
+    # torn row would surface as a wrong entry or a wrong non-determinism bit
+    max_order = 40
+    schedules = [
+        list(range(max_order + 1)),
+        list(range(max_order, -1, -1)),
+        list(range(0, max_order + 1, 2)) + list(range(1, max_order + 1, 2)),
+        [max_order // 2, max_order] + list(range(max_order + 1)),
+    ]
+    measure = factory()
+    expected = {
+        n: ([config_probability_oracle(measure, n, j) for j in range(n + 1)],
+            nondeterminism_scan(measure, n))
+        for n in range(max_order + 1)
+    }
+    results = [[] for _ in schedules]
+    start = threading.Barrier(len(schedules))
+
+    def fill(schedule, out):
+        start.wait()
+        for n in schedule:
+            row = [measure.config_probability(n, j) for j in range(n + 1)]
+            out.append((n, row, measure.is_nondeterministic(n)))
+
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=fill, args=(schedule, out))
+            for schedule, out in zip(schedules, results)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for schedule, out in zip(schedules, results):
+        assert [n for n, _, _ in out] == schedule
+        for n, row, nondeterministic in out:
+            assert (row, nondeterministic) == expected[n]

@@ -1,6 +1,7 @@
 """Symmetric-function operations against worked values, enumeration oracles,
 and linearity/tower properties."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from hoeffding import (
     parse_statistic_spec,
     symmetrize,
 )
-from hoeffding.symmetric import render_statistic_spec
+from hoeffding.rationals import format_rational
 from conftest import (
     dirac12,
     enum_cond_expectation_overlap,
@@ -330,6 +331,12 @@ class TestLiftInjectivity:
                     )
                     columns.append(list(lift_ustatistic(basis_kernel, n).values))
                 assert rank(columns) == k + 1
+
+
+def render_statistic_spec(statistic):
+    return json.dumps(
+        {"n": statistic.n, "values": [format_rational(v) for v in statistic.values]}
+    )
 
 
 class TestStatisticDocuments:
