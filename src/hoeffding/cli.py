@@ -6,6 +6,8 @@ rendered as "p/q" text. Exit codes: 0 success, 1 when check/classify/
 recursion finds a violation (with a machine-readable witness on the first
 lines), 2 on parse or validation errors (one-line diagnostic on stderr).
 Output is byte-deterministic for identical inputs, seeds included.
+Sizes are bounded up front: --max-n, --n and --trials above the bound
+shown in the verb's help exit with code 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ from .rationals import binom, format_rational, parse_rational
 from .symmetric import SymmetricFunction, inner_product, parse_statistic_spec
 
 
+# Largest accepted --max-n and --n. A Beta law's `check --max-n 32 --method
+# all` takes about half a minute and the cost grows faster than n**3.
+MAX_ORDER = 32
+# Largest accepted simulate --trials; a million Beta draws of 32 bits also
+# take about half a minute.
+MAX_TRIALS = 1_000_000
+_BOUNDS = {"max_n": MAX_ORDER, "n": MAX_ORDER, "trials": MAX_TRIALS}
+_ORDER_HELP = f"at most {MAX_ORDER}"
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's SystemExit replaced by ParseError
         raise ParseError(message)
@@ -60,19 +72,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("moments", parents=[shared], help="moment sequence of a measure")
     p.add_argument("--measure", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True, help=_ORDER_HELP)
 
     p = sub.add_parser(
         "probabilities", parents=[shared], help="configuration probabilities at one order"
     )
     p.add_argument("--measure", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_ORDER_HELP)
 
     p = sub.add_parser(
         "kernel", parents=[shared], help="canonical completely degenerate kernel"
     )
     p.add_argument("--measure", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_ORDER_HELP)
 
     p = sub.add_parser(
         "project", parents=[shared], help="orthogonal decomposition of a statistic"
@@ -82,7 +94,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", parents=[shared], help="decomposability residual scan")
     p.add_argument("--measure", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True, help=_ORDER_HELP)
     p.add_argument(
         "--method",
         choices=("prop1", "weakindep", "definition", "all"),
@@ -97,7 +109,7 @@ def _build_parser() -> _Parser:
         "classify", parents=[shared], help="i.i.d. / Polya / not-decomposable verdict"
     )
     p.add_argument("--measure", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True, help=_ORDER_HELP)
 
     p = sub.add_parser(
         "recover-beta", parents=[shared], help="Beta parameters from two moments"
@@ -107,15 +119,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("recursion", parents=[shared], help="moment recursion residuals")
     p.add_argument("--measure", required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=int, required=True, help=_ORDER_HELP)
 
     p = sub.add_parser(
         "simulate", parents=[shared], help="seeded sampling with exact comparison"
     )
     p.add_argument("--measure")
     p.add_argument("--urn")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_ORDER_HELP)
+    p.add_argument(
+        "--trials", type=int, required=True, help=f"1000 to {MAX_TRIALS}"
+    )
     p.add_argument("--seed", type=int, required=True)
 
     return parser
@@ -158,7 +172,13 @@ def render_report(report, fmt: str, measure: Optional[DeFinettiMeasure] = None) 
 
 
 def parse_report(text: str):
-    """Inverse of ``render_report(..., "json")`` for all four report types."""
+    """Inverse of ``render_report(..., "json")`` for all four report types.
+
+    Every malformed document raises ``ParseError``: a missing field, a field
+    of the wrong type, an unknown enumeration value, or values that violate
+    the report's own invariants (such as a histogram that does not sum to
+    the trials).
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -169,13 +189,35 @@ def parse_report(text: str):
         return _report_from_payload(payload)
     except KeyError as exc:
         raise ParseError(f"missing report field: {exc}") from exc
+    except ParseError:
+        raise
+    except (TypeError, ValueError, InternalError) as exc:
+        raise ParseError(f"malformed report field: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _triple(value) -> tuple[int, int, int]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise TypeError(f"expected an [n, u, z] witness, got {value!r}")
+    return tuple(_int(v) for v in value)
 
 
 def _report_from_payload(payload: dict):
     tag = payload.get("report")
     if tag == "decomposition":
         return HoeffdingDecomposition(
-            n=payload["n"],
+            n=_int(payload["n"]),
             measure_digest=payload["measure"],
             components=tuple(
                 SymmetricFunction(tuple(parse_rational(v) for v in comp))
@@ -187,47 +229,55 @@ def _report_from_payload(payload: dict):
         residuals = {}
         cross = {}
         for row in payload["residuals"]:
-            triple = (row["n"], row["u"], row["z"])
+            triple = (_int(row["n"]), _int(row["u"]), _int(row["z"]))
             residuals[triple] = parse_rational(row["prop1"])
             cross[triple] = parse_rational(row["weakindep"])
         witness = payload["witness"]
         return DecomposabilityReport(
-            n_max=payload["n_max"],
+            n_max=_int(payload["n_max"]),
             residuals=residuals,
             cross_residuals=cross,
             verdict=Verdict(payload["verdict"]),
-            witness=tuple(witness) if witness is not None else None,
+            witness=None if witness is None else _triple(witness),
         )
     if tag == "classification":
         witness = payload["witness"]
         if isinstance(witness, list):
-            witness = tuple(witness)
+            witness = _triple(witness)
+        elif witness is not None:
+            witness = _int(witness)
         return Classification(
             kind=ClassificationKind(payload["kind"]),
             iid_p=_maybe_rational(payload["p"]),
             polya_alpha=_maybe_rational(payload["alpha"]),
             polya_beta=_maybe_rational(payload["beta"]),
             witness=witness,
-            verified_order=payload["verified_order"],
+            verified_order=_int(payload["verified_order"]),
         )
     if tag == "sample":
+        n = _int(payload["n"])
+        histogram = tuple(_int(c) for c in payload["histogram"])
+        if len(histogram) != n + 1:
+            raise ValueError(f"histogram has {len(histogram)} cells, not n + 1 = {n + 1}")
         comparison = payload["comparison"]
         rows = None
         if comparison is not None:
             rows = tuple(
                 ComparisonRow(
-                    row["zeros"],
+                    _int(row["zeros"]),
                     parse_rational(row["expected"]),
-                    row["empirical"],
-                    row["z"],
+                    _number(row["empirical"]),
+                    _number(row["z"]),
                 )
                 for row in comparison
             )
+            if [row.zeros for row in rows] != list(range(n + 1)):
+                raise ValueError("comparison rows must cover zero counts 0..n in order")
         return SampleReport(
-            n=payload["n"],
-            trials=payload["trials"],
-            seed=payload["seed"],
-            zero_count_histogram=tuple(payload["histogram"]),
+            n=n,
+            trials=_int(payload["trials"]),
+            seed=_int(payload["seed"]),
+            zero_count_histogram=histogram,
             comparison=rows,
         )
     raise ParseError(f"unknown report tag: {tag!r}")
@@ -577,6 +627,10 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, limit in _BOUNDS.items():
+            value = getattr(args, name, None)
+            if value is not None and value > limit:
+                raise ParseError(f"--{name.replace('_', '-')} must be at most {limit}")
         code, output = _HANDLERS[args.verb](args)
         return code, output, ""
     except ParseError as exc:

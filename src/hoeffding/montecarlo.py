@@ -14,12 +14,24 @@ parallel: the stream state is the first 8 bytes (big-endian) of
 SHA-256("<seed>/<i>") feeding a SplitMix64 generator, and uniforms are
 standard 53-bit mantissa draws. Both pieces are fixed algorithms specified
 here, independent of interpreter version, and stable across releases.
+
+A bit is 1 when its uniform ``u = (w >> 11) * 2**-53`` is below the bit's
+float probability ``p``. The samplers compare integers instead: before
+the bits are drawn they turn each ``p`` into ``ceil(p * 2**53)``, and
+they test ``(w >> 11) < ceil(p * 2**53)``. Both products are exact, because
+``w >> 11`` has at most 53 bits and scaling a float by a power of two only
+moves its exponent, so for an integer ``k`` the test ``k * 2**-53 < p``
+holds exactly when ``k < p * 2**53``, that is when ``k < ceil(p * 2**53)``.
+The two comparisons therefore draw the same bits. For a discrete mixing
+law the first word of a trial picks the atom by the same rule, against the
+running float sum of the weights in atom order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -41,6 +53,10 @@ from .rationals import format_rational, parse_rational
 DEFAULT_Z_THRESHOLD = 4.0
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64 increment and finalizer multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -57,10 +73,9 @@ class SplitMix64:
         self.state = state & _MASK64
 
     def next_word(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self.state = z = (self.state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -214,19 +229,25 @@ def parse_urn_spec(document: str) -> UrnSpec:
 # ---------------------------------------------------------------------------
 
 
-def _polya_probability_table(alpha, beta, n: int) -> list[list[float]]:
-    """table[m][s] = P(next is 1 | s ones among m drawn), as floats."""
+def _limit(p: float) -> int:
+    """The integer ``L`` with ``(w >> 11) < L`` exactly when the uniform
+    ``(w >> 11) * 2**-53`` is below ``p`` (see the module docstring)."""
+    return math.ceil(p * 2.0**53)
+
+
+def _polya_limit_table(alpha, beta, n: int) -> list[list[int]]:
+    """table[m][s] = limit of P(next is 1 | s ones among m drawn), floated."""
     return [
-        [float((alpha + s) / (alpha + beta + m)) for s in range(m + 1)]
+        [_limit(float((alpha + s) / (alpha + beta + m))) for s in range(m + 1)]
         for m in range(n)
     ]
 
 
-def _draw_from_table(table: Sequence[Sequence[float]], n: int, rng: SplitMix64) -> list[int]:
+def _draw_from_table(table: Sequence[Sequence[int]], rng: SplitMix64) -> list[int]:
     sequence = []
     ones = 0
-    for m in range(n):
-        bit = 1 if rng.random() < table[m][ones] else 0
+    for row in table:
+        bit = 1 if rng.next_word() >> 11 < row[ones] else 0
         sequence.append(bit)
         ones += bit
     return sequence
@@ -239,15 +260,15 @@ def sample_polya(alpha, beta, n: int, seed: int) -> list[int]:
         raise ParameterRangeError("alpha and beta must be positive")
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
-    table = _polya_probability_table(alpha, beta, n)
-    return _draw_from_table(table, n, trial_stream(seed, 0))
+    return _draw_from_table(_polya_limit_table(alpha, beta, n), trial_stream(seed, 0))
 
 
-def _urn_probability_table(spec: UrnSpec, n: int) -> list[list[float]]:
-    """table[m][ones] = f((r + ones)/(r + b + m)), validated and floated."""
+def _urn_limit_table(spec: UrnSpec, n: int) -> list[list[int]]:
+    """table[m][ones] = limit of f((r + ones)/(r + b + m)), validated and
+    floated."""
     return [
         [
-            float(spec.f(Fraction(spec.r + ones, spec.r + spec.b + m)))
+            _limit(float(spec.f(Fraction(spec.r + ones, spec.r + spec.b + m))))
             for ones in range(m + 1)
         ]
         for m in range(n)
@@ -259,8 +280,7 @@ def sample_urn_process(spec: UrnSpec, n: int, seed: int) -> list[int]:
     current red proportion (r + #ones)/(r + b + m)."""
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
-    table = _urn_probability_table(spec, n)
-    return _draw_from_table(table, n, trial_stream(seed, 0))
+    return _draw_from_table(_urn_limit_table(spec, n), trial_stream(seed, 0))
 
 
 def _normal(rng: SplitMix64) -> float:
@@ -296,24 +316,43 @@ def _beta_variate(alpha: float, beta: float, rng: SplitMix64) -> float:
     return g1 / (g1 + g2)
 
 
+def _constant_table(p: float, n: int) -> list[list[int]]:
+    """The limit table of n i.i.d. Bernoulli(p) bits (rows shared)."""
+    return [[_limit(p)] * n] * n
+
+
+def _atom_tables(measure: DeFinettiMeasure, n: int) -> tuple[list, list[int]]:
+    """The limit tables of a discrete law's atoms, and the pick limits of
+    its cumulative float weights, summed in atom order.
+
+    A first word below pick limit i and no earlier one selects atom i. The
+    last atom's table is listed twice: a first word above every pick limit
+    falls back to it.
+    """
+    tables = []
+    picks = []
+    acc = 0.0
+    for loc, w in measure.atoms:
+        acc += float(w)
+        picks.append(_limit(acc))
+        tables.append(_constant_table(float(loc), n))
+    tables.append(tables[-1])
+    return tables, picks
+
+
 def _mixture_draw(measure: DeFinettiMeasure, n: int, rng: SplitMix64) -> list[int]:
     if measure.kind is MeasureKind.BETA:
         theta = _beta_variate(float(measure.beta_alpha), float(measure.beta_beta), rng)
+        table = _constant_table(theta, n)
     elif measure.kind is MeasureKind.DISCRETE:
-        u = rng.random()
-        acc = 0.0
-        theta = float(measure.atoms[-1][0])
-        for loc, w in measure.atoms:
-            acc += float(w)
-            if u < acc:
-                theta = float(loc)
-                break
+        tables, picks = _atom_tables(measure, n)
+        table = tables[bisect_right(picks, rng.next_word() >> 11)]
     else:
         raise UnsamplableKindError(
             "truncated moment sequences cannot be sampled; only beta and "
             "discrete measures are samplable"
         )
-    return [1 if rng.random() < theta else 0 for _ in range(n)]
+    return _draw_from_table(table, rng)
 
 
 def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
@@ -367,11 +406,35 @@ class SampleReport:
         return max(abs(row.z_score) for row in self.comparison)
 
 
-def _histogram(table: Sequence[Sequence[float]], n: int, trials: int, seed: int) -> list[int]:
+def _histogram(
+    tables: Sequence[Sequence[Sequence[int]]],
+    picks: Sequence[int],
+    n: int,
+    trials: int,
+    seed: int,
+) -> list[int]:
+    """Zero-count histogram of ``trials`` draws of n bits.
+
+    ``tables[i][m][s]`` is the limit of the bit drawn after m bits with s
+    ones. With no ``picks`` every trial reads ``tables[0]``. Otherwise the
+    trial's first word, shifted to 53 bits, selects ``tables[i]`` for the
+    first i whose pick limit exceeds it, or ``tables[len(picks)]`` when none
+    does. The SplitMix64 state then advances in a local integer, one word
+    per bit, and only the ones are counted.
+    """
     counts = [0] * (n + 1)
     for trial in range(trials):
-        sequence = _draw_from_table(table, n, trial_stream(seed, trial))
-        counts[n - sum(sequence)] += 1
+        rng = trial_stream(seed, trial)
+        table = tables[bisect_right(picks, rng.next_word() >> 11)] if picks else tables[0]
+        state = rng.state
+        ones = 0
+        for row in table:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            if (z ^ (z >> 31)) >> 11 < row[ones]:
+                ones += 1
+        counts[n - ones] += 1
     return counts
 
 
@@ -390,13 +453,10 @@ def compare_exact_empirical(
     if trials < 1000:
         raise ParameterRangeError("trials must be at least 1000")
     if measure.kind is MeasureKind.BETA:
-        table = _polya_probability_table(measure.beta_alpha, measure.beta_beta, n)
-        counts = _histogram(table, n, trials, seed)
+        table = _polya_limit_table(measure.beta_alpha, measure.beta_beta, n)
+        counts = _histogram([table], (), n, trials, seed)
     elif measure.kind is MeasureKind.DISCRETE:
-        counts = [0] * (n + 1)
-        for trial in range(trials):
-            sequence = _mixture_draw(measure, n, trial_stream(seed, trial))
-            counts[n - sum(sequence)] += 1
+        counts = _histogram(*_atom_tables(measure, n), n, trials, seed)
     else:
         raise UnsamplableKindError(
             "truncated moment sequences cannot be sampled; only beta and "
@@ -426,8 +486,7 @@ def urn_histogram(spec: UrnSpec, n: int, trials: int, seed: int) -> SampleReport
         raise ParameterRangeError("n must be at least 1")
     if trials < 1000:
         raise ParameterRangeError("trials must be at least 1000")
-    table = _urn_probability_table(spec, n)
-    counts = _histogram(table, n, trials, seed)
+    counts = _histogram([_urn_limit_table(spec, n)], (), n, trials, seed)
     return SampleReport(
         n=n, trials=trials, seed=seed, zero_count_histogram=tuple(counts)
     )

@@ -1,12 +1,14 @@
 """Shared test measures, configuration-probability oracles, brute-force
-enumeration oracles and the Gram oracle.
+enumeration oracles, the Gram oracle and the per-bit sampling oracle.
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
 enumerate binary configurations (or permutations, or subsets) and weight
 them with per-atom mixture probabilities, or project by Gauss-Jordan solves
 of Gram matrices. They share no code with the library paths they check, so
-exact agreement between the two is meaningful.
+exact agreement between the two is meaningful. The sampling oracle shares
+only the specified generator (``trial_stream`` and ``SplitMix64.random``)
+and compares float uniforms with float probabilities, bit by bit.
 """
 
 from fractions import Fraction
@@ -15,7 +17,8 @@ from math import comb
 
 import pytest
 
-from hoeffding import DeFinettiMeasure, MeasureKind, SymmetricFunction
+from hoeffding import DeFinettiMeasure, MeasureKind, SymmetricFunction, UrnSpec
+from hoeffding.montecarlo import trial_stream
 
 F = Fraction
 
@@ -350,3 +353,53 @@ def published_polya_coefficients(alpha, beta):
     second = -((s + 1) * (s + 4)) / ((s + 3) * (s + 2)) - (s + 1) / (s + 2)
     third = (s + 4) / (s + 2)
     return (first, second, third)
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle: the per-bit float-comparison histogram
+# ---------------------------------------------------------------------------
+
+
+def reference_histogram(source, n, trials, seed):
+    """Zero-count histogram of ``trials`` draws of n bits, one
+    ``SplitMix64.random()`` per bit compared with a float probability.
+
+    ``source`` is an ``UrnSpec`` (reinforcement applied to the red
+    proportion), a Beta measure (predictive rule (alpha + s)/(alpha + beta + m))
+    or a discrete measure (one uniform against the running float sum of the
+    weights picks the atom, the last atom if none; then n Bernoulli bits).
+    """
+    if isinstance(source, UrnSpec):
+        r, b = source.r, source.b
+        table = [
+            [float(source.f(Fraction(r + s, r + b + m))) for s in range(m + 1)]
+            for m in range(n)
+        ]
+    elif source.kind is MeasureKind.BETA:
+        alpha, beta = source.beta_alpha, source.beta_beta
+        table = [
+            [float((alpha + s) / (alpha + beta + m)) for s in range(m + 1)]
+            for m in range(n)
+        ]
+    else:
+        table = None
+    counts = [0] * (n + 1)
+    for trial in range(trials):
+        rng = trial_stream(seed, trial)
+        ones = 0
+        if table is None:
+            u = rng.random()
+            acc = 0.0
+            theta = float(source.atoms[-1][0])
+            for location, weight in source.atoms:
+                acc += float(weight)
+                if u < acc:
+                    theta = float(location)
+                    break
+            for _ in range(n):
+                ones += rng.random() < theta
+        else:
+            for m in range(n):
+                ones += rng.random() < table[m][ones]
+        counts[n - ones] += 1
+    return counts

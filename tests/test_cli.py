@@ -2,6 +2,7 @@
 JSON round-trips."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hoeffding import (
     compare_exact_empirical,
     hoeffding_decomposition,
 )
-from hoeffding.cli import dispatch, parse_report, render_report
+from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, parse_report, render_report
 from conftest import twopoint, unif_half
 
 F = Fraction
@@ -338,6 +339,61 @@ class TestExitCodeContract:
         assert code == 2 and "trials" in err
 
 
+BOUNDED_ARGVS = [
+    ["moments", "--measure", "missing.json", "--max-n", "{order}"],
+    ["probabilities", "--measure", "missing.json", "--n", "{order}"],
+    ["kernel", "--measure", "missing.json", "--n", "{order}"],
+    ["check", "--measure", "missing.json", "--max-n", "{order}"],
+    ["classify", "--measure", "missing.json", "--max-n", "{order}"],
+    ["recursion", "--measure", "missing.json", "--max-n", "{order}"],
+    ["simulate", "--urn", "missing.json", "--n", "{order}", "--trials", "1000", "--seed", "1"],
+    ["simulate", "--urn", "missing.json", "--n", "4", "--trials", "{trials}", "--seed", "1"],
+]
+
+
+def bounded(argv, excess):
+    values = {"order": MAX_ORDER + excess, "trials": MAX_TRIALS + excess}
+    return [token.format(**values) for token in argv]
+
+
+class TestSizeBounds:
+    # a missing input file stops every accepted command before any work, so
+    # no test here starts a computation
+    @pytest.mark.parametrize("argv", BOUNDED_ARGVS, ids=lambda argv: " ".join(argv[::3]))
+    @pytest.mark.parametrize("excess", [1, 10**12])
+    def test_above_bound_is_refused(self, argv, excess):
+        code, out, err = dispatch(bounded(argv, excess))
+        assert code == 2 and out == ""
+        assert "must be at most" in err
+
+    @pytest.mark.parametrize("argv", BOUNDED_ARGVS, ids=lambda argv: " ".join(argv[::3]))
+    def test_bound_itself_is_accepted(self, argv):
+        code, out, err = dispatch(bounded(argv, 0))
+        assert code == 2 and out == ""
+        assert "cannot read missing.json" in err
+
+    @pytest.mark.parametrize(
+        "verb",
+        ["moments", "probabilities", "kernel", "check", "classify", "recursion", "simulate"],
+    )
+    def test_help_states_bounds(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            dispatch([verb, "--help"])
+        text = capsys.readouterr().out
+        assert f"at most {MAX_ORDER}" in text
+        if verb == "simulate":
+            assert str(MAX_TRIALS) in text
+
+    def test_readme_examples_within_bounds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sizes = re.findall(r"--(max-n|n|trials) (\d+)", readme)
+        assert ("trials", "100000") in sizes
+        for flag, value in sizes:
+            assert int(value) <= (MAX_TRIALS if flag == "trials" else MAX_ORDER)
+        assert f"--max-n` and `--n` at most {MAX_ORDER}" in readme
+        assert f"`--trials` at most {MAX_TRIALS}" in readme
+
+
 GOLDEN_CASES = [
     ["moments", "--measure", "beta11.json", "--max-n", "3"],
     ["probabilities", "--measure", "twopoint.json", "--n", "3"],
@@ -504,8 +560,46 @@ class TestJsonRoundTrip:
         assert parse_report(render_report(report, "json")) == report
 
 
+CLASSIFICATION = (
+    '{"report": "classification", "kind": %s, "p": %s, "alpha": null, '
+    '"beta": null, "witness": %s, "verified_order": %s}'
+)
+SAMPLE = (
+    '{"report": "sample", "n": 1, "trials": %s, "seed": 3, "histogram": %s, '
+    '"comparison": %s}'
+)
+ROW = '{"zeros": %d, "expected": "1/2", "empirical": 0.5, "z": %s}'
+
+
 class TestParseReportErrors:
-    @pytest.mark.parametrize("text", ["[]", '{"report": "decomposition"}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"report": "decomposition"}',
+            # unknown enumeration value (used to leak ValueError)
+            CLASSIFICATION % ('"bogus"', '"1/2"', "null", "4"),
+            # residual rows that are not objects (used to leak TypeError)
+            '{"report": "decomposability", "n_max": 2, "verdict": "DECOMPOSABLE_UP_TO_N_MAX", '
+            '"witness": null, "residuals": [1]}',
+            '{"report": "decomposability", "n_max": 2, "verdict": "nope", '
+            '"witness": null, "residuals": []}',
+            '{"report": "decomposability", "n_max": 2, "verdict": "NOT_DECOMPOSABLE", '
+            '"witness": [2, 2], "residuals": []}',
+            '{"report": "decomposition", "n": "2", "measure": "m", "mean": "0", '
+            '"components": []}',
+            '{"report": "decomposition", "n": 1, "measure": "m", "mean": "0", '
+            '"components": 7}',
+            CLASSIFICATION % ('"IID"', '"3/2"', "null", "4"),
+            CLASSIFICATION % ('"IID"', '"1/2"', "null", "true"),
+            CLASSIFICATION % ('"NOT_DECOMPOSABLE"', "null", '"n=2"', "4"),
+            SAMPLE % ("5", "[1, 2]", "null"),
+            SAMPLE % ("3", "[1, 2, 0]", "null"),
+            SAMPLE % ("3", '[1, "2"]', "null"),
+            SAMPLE % ("3", "[1, 2]", "[%s, %s]" % (ROW % (0, '"0"'), ROW % (1, "0.0"))),
+            SAMPLE % ("3", "[1, 2]", "[%s, %s]" % (ROW % (1, "0.0"), ROW % (0, "0.0"))),
+        ],
+    )
     def test_malformed_document_is_parse_error(self, text):
         with pytest.raises(ParseError):
             parse_report(text)

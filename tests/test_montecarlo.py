@@ -6,6 +6,7 @@ Statistical assertions use |z| < 4 per cell (two-sided false alarm about
 draws are seeded, so failures are reproducible, not flaky.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from hoeffding import (
     sample_urn_process,
     urn_histogram,
 )
-from hoeffding.montecarlo import DEFAULT_Z_THRESHOLD, SplitMix64, trial_stream
+from hoeffding import montecarlo
+from hoeffding.montecarlo import DEFAULT_Z_THRESHOLD, SplitMix64, _limit, trial_stream
 from hoeffding.rationals import binom
 from conftest import beta23, dirac12, unif_half
 
@@ -81,6 +83,126 @@ class TestGenerator:
         assert trial_stream(7, 0).state == 0x19B6554DAA8A89AA
         states = {trial_stream(7, i).state for i in range(100)}
         assert len(states) == 100
+
+
+class TestIntegerLimit:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            0.0,
+            1.0,
+            2.0**-53,
+            3 * 2.0**-53,
+            (2**52 + 1) * 2.0**-53,
+            math.nextafter(2.0**-53, 0.0),
+            math.nextafter(2.0**-53, 1.0),
+            math.nextafter((2**52 + 1) * 2.0**-53, 0.0),
+            math.nextafter((2**52 + 1) * 2.0**-53, 1.0),
+            0.5,
+            math.nextafter(0.5, 1.0),
+            math.nextafter(1.0, 0.0),
+            1 / 3,
+            5e-324,
+            2.0**-1030,
+        ],
+    )
+    def test_limit_matches_float_comparison(self, p):
+        # the uniform of a word is k * 2**-53 with k = word >> 11 < 2**53
+        limit = _limit(p)
+        assert isinstance(limit, int) and 0 <= limit <= 2**53
+        for k in range(max(limit - 2, 0), min(limit + 2, 2**53)):
+            assert (k * 2.0**-53 < p) == (k < limit)
+
+    def test_limit_values(self):
+        assert _limit(0.0) == 0
+        assert _limit(1.0) == 2**53
+        assert _limit(3 * 2.0**-53) == 3
+        assert _limit(math.nextafter(3 * 2.0**-53, 1.0)) == 4
+        assert _limit(math.nextafter(3 * 2.0**-53, 0.0)) == 3
+        assert _limit(5e-324) == 1
+
+
+def state_for_word(word):
+    """The SplitMix64 state whose next word is ``word`` (the finalizer is a
+    bijection: xor-shifts and odd multipliers invert)."""
+
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    mask = 2**64 - 1
+    z = unshift(word, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+class TestBoundaryWords:
+    # every trial's stream starts with a chosen word, so a comparison that
+    # is off by one (<= for <, floor for ceil, the wrong side of a tie in the
+    # atom pick) or a missing fallback atom changes the whole histogram
+    @pytest.mark.parametrize(
+        "source, k, zeros",
+        [
+            (UrnSpec(f=ReinforcementFunction.constant(F(1, 4)), r=1, b=1), 2**51 - 1, 0),
+            (UrnSpec(f=ReinforcementFunction.constant(F(1, 4)), r=1, b=1), 2**51, 1),
+            (UrnSpec(f=ReinforcementFunction.constant(0), r=1, b=1), 0, 1),
+            (UrnSpec(f=ReinforcementFunction.constant(1), r=1, b=1), 2**53 - 1, 0),
+            (DeFinettiMeasure.discrete([(0, F(1, 4)), (1, F(3, 4))]), 2**51 - 1, 1),
+            (DeFinettiMeasure.discrete([(0, F(1, 4)), (1, F(3, 4))]), 2**51, 0),
+            # ten weights of 1/10 sum to 0.9999999999999999 in floats: the
+            # largest word falls through every cumulative limit to the last atom
+            (DeFinettiMeasure.discrete([(F(i, 9), F(1, 10)) for i in range(10)]), 2**53 - 1, 0),
+        ],
+        ids=["quarter-below", "quarter-at", "zero", "one", "pick-below", "pick-at", "fallback"],
+    )
+    def test_first_word_decides(self, source, k, zeros, monkeypatch):
+        state = state_for_word((k << 11) | 0x7FF)
+        assert SplitMix64(state).next_word() >> 11 == k
+        monkeypatch.setattr(montecarlo, "trial_stream", lambda seed, trial: SplitMix64(state))
+        if isinstance(source, UrnSpec):
+            report = urn_histogram(source, 1, 1000, seed=0)
+        else:
+            report = compare_exact_empirical(source, 1, 1000, seed=0)
+        assert report.zero_count_histogram[zeros] == 1000
+
+    @pytest.mark.parametrize("k, bit", [(2**51 - 1, 1), (2**51, 0)])
+    def test_first_word_decides_sequence(self, k, bit, monkeypatch):
+        state = state_for_word(k << 11)
+        monkeypatch.setattr(montecarlo, "trial_stream", lambda seed, trial: SplitMix64(state))
+        spec = UrnSpec(f=ReinforcementFunction.constant(F(1, 4)), r=1, b=1)
+        assert sample_urn_process(spec, 1, seed=0) == [bit]
+
+
+class TestStreamContract:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda trials: compare_exact_empirical(beta23(), 5, trials, seed=31),
+            lambda trials: compare_exact_empirical(
+                DeFinettiMeasure.discrete([(0, F(1, 4)), (F(2, 3), F(3, 4))]),
+                5,
+                trials,
+                seed=31,
+            ),
+            lambda trials: urn_histogram(
+                UrnSpec(f=ReinforcementFunction.identity(), r=2, b=1), 5, trials, seed=31
+            ),
+        ],
+        ids=["beta", "discrete", "urn"],
+    )
+    def test_one_stream_per_trial_in_order(self, run, monkeypatch):
+        calls = []
+
+        def counting_stream(seed, trial):
+            calls.append((seed, trial))
+            return trial_stream(seed, trial)
+
+        monkeypatch.setattr(montecarlo, "trial_stream", counting_stream)
+        run(1234)
+        assert calls == [(31, trial) for trial in range(1234)]
 
 
 class TestSamplePolya:
@@ -289,3 +411,229 @@ class TestUrnSpecParsing:
         f = ReinforcementFunction.identity()
         with pytest.raises(ReinforcementRangeError):
             f(F(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: every sampler branch, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+GOLDEN_LAWS = {
+    "beta(1,1)": lambda: DeFinettiMeasure.beta(1, 1),
+    "beta(3/2,2)": lambda: DeFinettiMeasure.beta(F(3, 2), 2),
+    "dirac(1/3)": lambda: DeFinettiMeasure.dirac(F(1, 3)),
+    "dirac(0)": lambda: DeFinettiMeasure.dirac(0),
+    "dirac(1)": lambda: DeFinettiMeasure.dirac(1),
+    "twopoint(1/3,2/3)": lambda: DeFinettiMeasure.discrete(
+        [(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))]
+    ),
+    "twopoint(0,2/3)": lambda: DeFinettiMeasure.discrete(
+        [(0, F(1, 4)), (F(2, 3), F(3, 4))]
+    ),
+    "threepoint(0,1/2,1)": lambda: DeFinettiMeasure.discrete(
+        [(0, F(1, 5)), (F(1, 2), F(2, 5)), (1, F(2, 5))]
+    ),
+}
+
+GOLDEN_URNS = {
+    "identity(1,1)": UrnSpec(f=ReinforcementFunction.identity(), r=1, b=1),
+    "identity(2,3)": UrnSpec(f=ReinforcementFunction.identity(), r=2, b=3),
+    "constant(0)": UrnSpec(f=ReinforcementFunction.constant(0), r=1, b=1),
+    "constant(1/2)": UrnSpec(f=ReinforcementFunction.constant(F(1, 2)), r=1, b=2),
+    "constant(1)": UrnSpec(f=ReinforcementFunction.constant(1), r=3, b=1),
+    "table(clamp)": UrnSpec(
+        f=ReinforcementFunction.table([(0, 0), (F(1, 4), 0), (F(3, 4), 1), (1, 1)]),
+        r=1,
+        b=1,
+    ),
+    "table(tent)": UrnSpec(
+        f=ReinforcementFunction.table(
+            [(0, F(1, 10)), (F(1, 2), F(9, 10)), (1, F(3, 10))]
+        ),
+        r=2,
+        b=1,
+    ),
+}
+
+GOLDEN_SIZES = (1, 4, 10)
+GOLDEN_SEEDS = (5, 2718281828)
+GOLDEN_TRIALS = 1000
+
+
+def golden_report(name, n, seed):
+    if name in GOLDEN_LAWS:
+        return compare_exact_empirical(GOLDEN_LAWS[name](), n, GOLDEN_TRIALS, seed)
+    return urn_histogram(GOLDEN_URNS[name], n, GOLDEN_TRIALS, seed)
+
+
+def rows_digest(report):
+    """First 16 hex digits of SHA-256 over the repr of the comparison rows:
+    exact expected cells, float frequencies and float z-scores."""
+    return hashlib.sha256(repr(report.comparison).encode("ascii")).hexdigest()[:16]
+
+
+def bits(sequence):
+    return "".join(map(str, sequence))
+
+
+GOLDEN_SEQUENCES = {
+    "polya(1,1)": lambda seed: sample_polya(1, 1, 40, seed),
+    "polya(3/2,2)": lambda seed: sample_polya(F(3, 2), 2, 40, seed),
+    **{
+        f"urn:{name}": (lambda spec: lambda seed: sample_urn_process(spec, 40, seed))(spec)
+        for name, spec in GOLDEN_URNS.items()
+    },
+    **{
+        f"mixture:{name}": (lambda law: lambda seed: sample_mixture(law(), 40, seed))(law)
+        for name, law in GOLDEN_LAWS.items()
+    },
+    "mixture:beta(1/2,1/3)": lambda seed: sample_mixture(
+        DeFinettiMeasure.beta(F(1, 2), F(1, 3)), 40, seed
+    ),
+}
+
+# recorded with the per-bit float-comparison sampler, before the fused loop
+GOLDEN_HISTOGRAMS = {
+    ('beta(1,1)', 1, 5): ((505, 495), '9d56e94a0ddc2127'),
+    ('beta(1,1)', 1, 2718281828): ((501, 499), '8e7a39b7787b2b5f'),
+    ('beta(1,1)', 4, 5): ((200, 191, 209, 193, 207), '5e2fdb8f4e72b8bc'),
+    ('beta(1,1)', 4, 2718281828): ((198, 189, 224, 201, 188), 'a4f9d63cfc9714cc'),
+    ('beta(1,1)', 10, 5): ((90, 88, 92, 87, 92, 91, 86, 76, 101, 100, 97), '03c18ca71098e053'),
+    ('beta(1,1)', 10, 2718281828): ((86, 91, 92, 91, 93, 97, 93, 88, 87, 96, 86), '5a19e812219387ca'),
+    ('beta(3/2,2)', 1, 5): ((430, 570), 'df652cc0829c6062'),
+    ('beta(3/2,2)', 1, 2718281828): ((419, 581), 'a096493a56ee9c1f'),
+    ('beta(3/2,2)', 4, 5): ((102, 193, 244, 248, 213), 'd765d5267d8af28d'),
+    ('beta(3/2,2)', 4, 2718281828): ((104, 171, 263, 259, 203), '2e70e2a34a02396e'),
+    ('beta(3/2,2)', 10, 5): ((25, 51, 72, 72, 119, 126, 114, 106, 116, 116, 83), 'c4eccb9d143e45f0'),
+    ('beta(3/2,2)', 10, 2718281828): ((21, 51, 65, 79, 120, 126, 118, 126, 119, 101, 74), 'f9580c547828bf63'),
+    ('dirac(1/3)', 1, 5): ((331, 669), '94bf450cd9d90670'),
+    ('dirac(1/3)', 1, 2718281828): ((335, 665), 'cb7b9d3302ca00e4'),
+    ('dirac(1/3)', 4, 5): ((9, 99, 306, 388, 198), 'eaa39db15a4c7fe7'),
+    ('dirac(1/3)', 4, 2718281828): ((10, 100, 283, 402, 205), '543903b458a16e65'),
+    ('dirac(1/3)', 10, 5): ((0, 0, 6, 18, 47, 135, 238, 258, 192, 86, 20), '1710f36460367c7f'),
+    ('dirac(1/3)', 10, 2718281828): ((0, 0, 2, 11, 61, 140, 229, 261, 189, 89, 18), '04c7a72f9f316113'),
+    ('dirac(0)', 1, 5): ((0, 1000), '1645d58e0c8a064a'),
+    ('dirac(0)', 1, 2718281828): ((0, 1000), '1645d58e0c8a064a'),
+    ('dirac(0)', 4, 5): ((0, 0, 0, 0, 1000), '7499557e997d914f'),
+    ('dirac(0)', 4, 2718281828): ((0, 0, 0, 0, 1000), '7499557e997d914f'),
+    ('dirac(0)', 10, 5): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1000), 'b47b1796fc241884'),
+    ('dirac(0)', 10, 2718281828): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1000), 'b47b1796fc241884'),
+    ('dirac(1)', 1, 5): ((1000, 0), '3235a470b485af32'),
+    ('dirac(1)', 1, 2718281828): ((1000, 0), '3235a470b485af32'),
+    ('dirac(1)', 4, 5): ((1000, 0, 0, 0, 0), '253f7dafb8c6f0da'),
+    ('dirac(1)', 4, 2718281828): ((1000, 0, 0, 0, 0), '253f7dafb8c6f0da'),
+    ('dirac(1)', 10, 5): ((1000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), '97225a863a9e73fb'),
+    ('dirac(1)', 10, 2718281828): ((1000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), '97225a863a9e73fb'),
+    ('twopoint(1/3,2/3)', 1, 5): ((499, 501), '5ab4bae63768ee0a'),
+    ('twopoint(1/3,2/3)', 1, 2718281828): ((503, 497), '1480e1e12c872a35'),
+    ('twopoint(1/3,2/3)', 4, 5): ((91, 245, 314, 245, 105), '3658d66cb5bb0a8c'),
+    ('twopoint(1/3,2/3)', 4, 2718281828): ((110, 249, 278, 247, 116), '68bb42f22355f986'),
+    ('twopoint(1/3,2/3)', 10, 5): ((15, 36, 93, 144, 146, 128, 137, 149, 100, 42, 10), 'bc89a8e059c90804'),
+    ('twopoint(1/3,2/3)', 10, 2718281828): ((7, 36, 104, 142, 161, 111, 149, 135, 103, 45, 7), '32066035d6d99b42'),
+    ('twopoint(0,2/3)', 1, 5): ((473, 527), 'f15cb2c54b200b3b'),
+    ('twopoint(0,2/3)', 1, 2718281828): ((498, 502), 'd1d70a7b9017d1ff'),
+    ('twopoint(0,2/3)', 4, 5): ((138, 292, 226, 89, 255), '2c7417c6fd626c8d'),
+    ('twopoint(0,2/3)', 4, 2718281828): ((141, 304, 227, 70, 258), 'f839c4e671531d67'),
+    ('twopoint(0,2/3)', 10, 5): ((18, 68, 138, 201, 171, 88, 55, 13, 4, 0, 244), '41b6eeaa16b49dd6'),
+    ('twopoint(0,2/3)', 10, 2718281828): ((9, 54, 151, 200, 194, 86, 46, 11, 1, 0, 248), '4fe86783ac5d2906'),
+    ('threepoint(0,1/2,1)', 1, 5): ((578, 422), '9053cbebb30edabb'),
+    ('threepoint(0,1/2,1)', 1, 2718281828): ((599, 401), '768796c542988431'),
+    ('threepoint(0,1/2,1)', 4, 5): ((415, 103, 161, 104, 217), 'eec0d8d54376efd9'),
+    ('threepoint(0,1/2,1)', 4, 2718281828): ((430, 93, 149, 100, 228), '93029f93b2c5bcbc'),
+    ('threepoint(0,1/2,1)', 10, 5): ((380, 7, 20, 43, 92, 118, 81, 51, 14, 5, 189), '82f7b5f6fb5449a8'),
+    ('threepoint(0,1/2,1)', 10, 2718281828): ((411, 2, 17, 40, 89, 97, 78, 46, 14, 5, 201), 'f2973702d38fb1e9'),
+    ('identity(1,1)', 1, 5): ((505, 495), None),
+    ('identity(1,1)', 1, 2718281828): ((501, 499), None),
+    ('identity(1,1)', 4, 5): ((200, 191, 209, 193, 207), None),
+    ('identity(1,1)', 4, 2718281828): ((198, 189, 224, 201, 188), None),
+    ('identity(1,1)', 10, 5): ((90, 88, 92, 87, 92, 91, 86, 76, 101, 100, 97), None),
+    ('identity(1,1)', 10, 2718281828): ((86, 91, 92, 91, 93, 97, 93, 88, 87, 96, 86), None),
+    ('identity(2,3)', 1, 5): ((400, 600), None),
+    ('identity(2,3)', 1, 2718281828): ((387, 613), None),
+    ('identity(2,3)', 4, 5): ((74, 169, 260, 284, 213), None),
+    ('identity(2,3)', 4, 2718281828): ((65, 155, 285, 299, 196), None),
+    ('identity(2,3)', 10, 5): ((12, 34, 55, 66, 113, 126, 137, 132, 124, 130, 71), None),
+    ('identity(2,3)', 10, 2718281828): ((3, 28, 54, 64, 126, 130, 151, 146, 132, 101, 65), None),
+    ('constant(0)', 1, 5): ((0, 1000), None),
+    ('constant(0)', 1, 2718281828): ((0, 1000), None),
+    ('constant(0)', 4, 5): ((0, 0, 0, 0, 1000), None),
+    ('constant(0)', 4, 2718281828): ((0, 0, 0, 0, 1000), None),
+    ('constant(0)', 10, 5): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1000), None),
+    ('constant(0)', 10, 2718281828): ((0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1000), None),
+    ('constant(1/2)', 1, 5): ((505, 495), None),
+    ('constant(1/2)', 1, 2718281828): ((501, 499), None),
+    ('constant(1/2)', 4, 5): ((66, 247, 362, 254, 71), None),
+    ('constant(1/2)', 4, 2718281828): ((53, 246, 403, 236, 62), None),
+    ('constant(1/2)', 10, 5): ((2, 7, 44, 109, 212, 237, 198, 135, 44, 11, 1), None),
+    ('constant(1/2)', 10, 2718281828): ((0, 3, 44, 106, 236, 230, 218, 106, 46, 10, 1), None),
+    ('constant(1)', 1, 5): ((1000, 0), None),
+    ('constant(1)', 1, 2718281828): ((1000, 0), None),
+    ('constant(1)', 4, 5): ((1000, 0, 0, 0, 0), None),
+    ('constant(1)', 4, 2718281828): ((1000, 0, 0, 0, 0), None),
+    ('constant(1)', 10, 5): ((1000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), None),
+    ('constant(1)', 10, 2718281828): ((1000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), None),
+    ('table(clamp)', 1, 5): ((505, 495), None),
+    ('table(clamp)', 1, 2718281828): ((501, 499), None),
+    ('table(clamp)', 4, 5): ((415, 62, 48, 61, 414), None),
+    ('table(clamp)', 4, 2718281828): ((421, 50, 59, 59, 411), None),
+    ('table(clamp)', 10, 5): ((415, 47, 12, 10, 10, 9, 10, 13, 9, 51, 414), None),
+    ('table(clamp)', 10, 2718281828): ((421, 43, 16, 6, 10, 13, 8, 13, 11, 48, 411), None),
+    ('table(tent)', 1, 5): ((715, 285), None),
+    ('table(tent)', 1, 2718281828): ((691, 309), None),
+    ('table(tent)', 4, 5): ((118, 528, 334, 16, 4), None),
+    ('table(tent)', 4, 2718281828): ((107, 535, 330, 24, 4), None),
+    ('table(tent)', 10, 5): ((2, 27, 214, 410, 285, 61, 1, 0, 0, 0, 0), None),
+    ('table(tent)', 10, 2718281828): ((0, 17, 209, 429, 279, 60, 3, 2, 1, 0, 0), None),
+}
+GOLDEN_BITS = {
+    ('polya(1,1)', 5): '1111111111111111110011111111111111111111',
+    ('polya(1,1)', 2718281828): '1111111111111011101111111111111111011111',
+    ('polya(3/2,2)', 5): '1011110110000100110010111010001011011100',
+    ('polya(3/2,2)', 2718281828): '1111111111011010101011110101010011011110',
+    ('urn:identity(1,1)', 5): '1111111111111111110011111111111111111111',
+    ('urn:identity(1,1)', 2718281828): '1111111111111011101111111111111111011111',
+    ('urn:identity(2,3)', 5): '1011110110000100110010111010001011011100',
+    ('urn:identity(2,3)', 2718281828): '1010100111011010001011010101000001011010',
+    ('urn:constant(0)', 5): '0000000000000000000000000000000000000000',
+    ('urn:constant(0)', 2718281828): '0000000000000000000000000000000000000000',
+    ('urn:constant(1/2)', 5): '1011110110000100110010110000001011011100',
+    ('urn:constant(1/2)', 2718281828): '1010100111011010001011010101000001011010',
+    ('urn:constant(1)', 5): '1111111111111111111111111111111111111111',
+    ('urn:constant(1)', 2718281828): '1111111111111111111111111111111111111111',
+    ('urn:table(clamp)', 5): '1111111111111111111111111111111111111111',
+    ('urn:table(clamp)', 2718281828): '1111111111111111111111111111111111111111',
+    ('urn:table(tent)', 5): '1011110110010111110010111010011011011101',
+    ('urn:table(tent)', 2718281828): '1110101111011010001011110101010011011110',
+    ('mixture:beta(1,1)', 5): '0010000100100010100000000011001100000010',
+    ('mixture:beta(1,1)', 2718281828): '0101000010000001000000000000000000101100',
+    ('mixture:beta(3/2,2)', 5): '0010000100100010100000000011001100000010',
+    ('mixture:beta(3/2,2)', 2718281828): '0101000010000001000000000000000000101100',
+    ('mixture:dirac(1/3)', 5): '0101101100001001000101000000000110011000',
+    ('mixture:dirac(1/3)', 2718281828): '0001001110000100000010101000000000010101',
+    ('mixture:dirac(0)', 5): '0000000000000000000000000000000000000000',
+    ('mixture:dirac(0)', 2718281828): '0000000000000000000000000000000000000000',
+    ('mixture:dirac(1)', 5): '1111111111111111111111111111111111111111',
+    ('mixture:dirac(1)', 2718281828): '1111111111111111111111111111111111111111',
+    ('mixture:twopoint(1/3,2/3)', 5): '0101101100001001000101000000000110011000',
+    ('mixture:twopoint(1/3,2/3)', 2718281828): '0001001110000100000010101000000000010101',
+    ('mixture:twopoint(0,2/3)', 5): '0000000000000000000000000000000000000000',
+    ('mixture:twopoint(0,2/3)', 2718281828): '1111111110110100010111101010100110111101',
+    ('mixture:threepoint(0,1/2,1)', 5): '0111101100001001100101100000010110111000',
+    ('mixture:threepoint(0,1/2,1)', 2718281828): '0101001110110100010110101010000010110101',
+    ('mixture:beta(1/2,1/3)', 5): '1001011111001011101001101101110100001011',
+    ('mixture:beta(1/2,1/3)', 2718281828): '1101101000101101010101001101111011110001',
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize(
+        "name, n, seed", sorted(GOLDEN_HISTOGRAMS), ids=lambda v: str(v)
+    )
+    def test_histogram_and_rows(self, name, n, seed):
+        histogram, digest = GOLDEN_HISTOGRAMS[name, n, seed]
+        report = golden_report(name, n, seed)
+        assert report.zero_count_histogram == histogram
+        assert (None if report.comparison is None else rows_digest(report)) == digest
+
+    @pytest.mark.parametrize("name, seed", sorted(GOLDEN_BITS), ids=lambda v: str(v))
+    def test_sequence(self, name, seed):
+        assert bits(GOLDEN_SEQUENCES[name](seed)) == GOLDEN_BITS[name, seed]

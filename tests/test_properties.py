@@ -7,8 +7,10 @@ closed-form and alternating-sum oracles of ``conftest``, the one-row
 non-determinism test must equal the full scan, and moment validation must
 reject at the scan's first negative entry. The recurrence layers must equal
 the Gram-matrix oracle exactly, and the subspace route must agree with the
-residual route level by level. Examples are capped and derandomized so the
-suite costs a few seconds and repeats exactly.
+residual route level by level. The fused Monte Carlo histograms of random
+Beta, discrete and urn specifications must equal the per-bit sampling
+oracle count for count. Examples are capped and derandomized so the suite
+costs a few seconds and repeats exactly.
 """
 
 import sys
@@ -23,10 +25,14 @@ from hypothesis import strategies as st
 from hoeffding import (
     DeFinettiMeasure,
     InvalidMomentSequenceError,
+    ReinforcementFunction,
     SymmetricFunction,
+    UrnSpec,
+    compare_exact_empirical,
     decomposability_residual,
     hoeffding_decomposition,
     level_subspace_check,
+    urn_histogram,
 )
 from conftest import (
     alternating_sum_config_probability,
@@ -35,6 +41,7 @@ from conftest import (
     first_negative_configuration,
     gram_decomposition,
     nondeterminism_scan,
+    reference_histogram,
 )
 
 F = Fraction
@@ -78,6 +85,21 @@ closed_form_laws = st.one_of(
     beta_laws(),
     discrete_laws(st.one_of(st.sampled_from([F(0), F(1)]), unit_rationals())),
 )
+
+
+@st.composite
+def urn_specs(draw):
+    unit = st.builds(F, st.integers(0, 12), st.just(12))
+    kind = draw(st.sampled_from(["identity", "constant", "table"]))
+    if kind == "identity":
+        f = ReinforcementFunction.identity()
+    elif kind == "constant":
+        f = ReinforcementFunction.constant(draw(unit))
+    else:
+        inner = draw(st.lists(unit.filter(lambda x: 0 < x < 1), max_size=3, unique=True))
+        abscissae = [F(0), *sorted(inner), F(1)]
+        f = ReinforcementFunction.table([(x, draw(unit)) for x in abscissae])
+    return UrnSpec(f=f, r=draw(st.integers(1, 5)), b=draw(st.integers(1, 5)))
 
 
 @st.composite
@@ -227,3 +249,17 @@ def test_concurrent_fills_match_single_threaded_oracle(factory):
         assert [n for n, _, _ in out] == schedule
         for n, row, nondeterministic in out:
             assert (row, nondeterministic) == expected[n]
+
+
+@SETTINGS
+@given(
+    source=st.one_of(closed_form_laws, urn_specs()),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_fused_histogram_equals_per_bit_oracle(source, n, seed):
+    if isinstance(source, UrnSpec):
+        report = urn_histogram(source, n, 1000, seed)
+    else:
+        report = compare_exact_empirical(source, n, 1000, seed)
+    assert list(report.zero_count_histogram) == reference_histogram(source, n, 1000, seed)
