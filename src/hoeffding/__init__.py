@@ -10,8 +10,8 @@ Library layout:
 * :mod:`hoeffding.engine` - Hoeffding layers from the orthogonal
   polynomials of the zero-count law (a three-term recurrence, in
   :mod:`hoeffding.linalg`) and the three equivalent decomposability tests.
-* :mod:`hoeffding.dynamics` - the forced moment recursion, Beta recovery,
-  classification, affine-predictive checks.
+* :mod:`hoeffding.dynamics` - the forced moment recursion, Beta recovery
+  and classification.
 * :mod:`hoeffding.montecarlo` - seeded samplers cross-validating the exact
   probabilities statistically.
 * :mod:`hoeffding.cli` - the ``hoeffding`` command.
@@ -38,7 +38,6 @@ from .symmetric import (
     SymmetricFunction,
     cond_expectation_overlap,
     cond_expectation_prefix,
-    degeneracy_residual,
     inner_product,
     lift_ustatistic,
     parse_statistic_spec,
@@ -50,28 +49,21 @@ from .engine import (
     Verdict,
     canonical_degenerate_kernel,
     check_decomposable,
-    check_hoeffding_spaces,
     decomposability_residual,
     degenerate_kernel_basis,
     hoeffding_decomposition,
     iid_projection,
     level_subspace_check,
     polya_projection_coefficients,
-    weak_independence_residual,
 )
 from .dynamics import (
     Classification,
     ClassificationKind,
-    affine_predictive_coefficients,
     classify,
-    fit_predictive_affine,
-    is_urn_integer_eligible,
     moment_polynomials,
     moment_recursion_residual,
     next_moment,
-    predictive_affinity_residual,
     recover_beta,
-    sample_moment_region,
 )
 from .montecarlo import (
     ReinforcementFunction,
@@ -113,22 +105,17 @@ __all__ = [
     "UrnSpec",
     "Verdict",
     "ZeroDenominatorError",
-    "affine_predictive_coefficients",
     "canonical_degenerate_kernel",
     "check_decomposable",
-    "check_hoeffding_spaces",
     "classify",
     "compare_exact_empirical",
     "cond_expectation_overlap",
     "cond_expectation_prefix",
     "decomposability_residual",
-    "degeneracy_residual",
     "degenerate_kernel_basis",
-    "fit_predictive_affine",
     "hoeffding_decomposition",
     "iid_projection",
     "inner_product",
-    "is_urn_integer_eligible",
     "level_subspace_check",
     "lift_ustatistic",
     "moment_polynomials",
@@ -138,13 +125,10 @@ __all__ = [
     "parse_statistic_spec",
     "parse_urn_spec",
     "polya_projection_coefficients",
-    "predictive_affinity_residual",
     "recover_beta",
     "sample_mixture",
-    "sample_moment_region",
     "sample_polya",
     "sample_urn_process",
     "symmetrize",
     "urn_histogram",
-    "weak_independence_residual",
 ]

@@ -6,8 +6,9 @@ rendered as "p/q" text. Exit codes: 0 success, 1 when check/classify/
 recursion finds a violation (with a machine-readable witness on the first
 lines), 2 on parse or validation errors (one-line diagnostic on stderr).
 Output is byte-deterministic for identical inputs, seeds included.
-Sizes are bounded up front: --max-n, --n and --trials above the bound
-shown in the verb's help exit with code 2 before any work starts.
+Sizes are bounded up front: --max-n, --n, --trials and the --statistic
+arity above the bound shown in the verb's help, and a measure document of
+moment order above 63, exit with code 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .dynamics import (
@@ -57,9 +57,16 @@ _BOUNDS = {"max_n": MAX_ORDER, "n": MAX_ORDER, "trials": MAX_TRIALS}
 _ORDER_HELP = f"at most {MAX_ORDER}"
 
 
+class _HelpRequested(Exception):
+    """Carries the text of --help out of argparse instead of its SystemExit."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's SystemExit replaced by ParseError
         raise ParseError(message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -90,7 +97,7 @@ def _build_parser() -> _Parser:
         "project", parents=[shared], help="orthogonal decomposition of a statistic"
     )
     p.add_argument("--measure", required=True)
-    p.add_argument("--statistic", required=True)
+    p.add_argument("--statistic", required=True, help=f"arity {_ORDER_HELP}")
 
     p = sub.add_parser("check", parents=[shared], help="decomposability residual scan")
     p.add_argument("--measure", required=True)
@@ -141,10 +148,6 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _frac(value: Fraction) -> str:
-    return format_rational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +299,15 @@ def _render_decomposition(
                 "report": "decomposition",
                 "n": report.n,
                 "measure": report.measure_digest,
-                "mean": _frac(report.mean),
+                "mean": format_rational(report.mean),
                 "components": [
-                    [_frac(v) for v in comp.values] for comp in report.components
+                    [format_rational(v) for v in comp.values] for comp in report.components
                 ],
             }
         )
-    lines = [f"measure\t{report.measure_digest}", f"mean\t{_frac(report.mean)}"]
+    lines = [f"measure\t{report.measure_digest}", f"mean\t{format_rational(report.mean)}"]
     for k, comp in enumerate(report.components):
-        values = "\t".join(_frac(v) for v in comp.values)
+        values = "\t".join(format_rational(v) for v in comp.values)
         lines.append(f"component\t{k}\t{values}")
     if measure is not None:
         for i in range(len(report.components)):
@@ -312,7 +315,7 @@ def _render_decomposition(
                 product = inner_product(
                     report.components[i], report.components[j], measure
                 )
-                lines.append(f"orthogonality\t{i}:{j}\t{_frac(product)}")
+                lines.append(f"orthogonality\t{i}:{j}\t{format_rational(product)}")
     return "\n".join(lines) + "\n"
 
 
@@ -340,7 +343,7 @@ def _render_decomposability(
         payload["witness"] = list(report.witness) if report.witness else None
         payload["residuals"] = [
             {"n": n, "u": u, "z": z}
-            | {name: _frac(source[(n, u, z)]) for name, source in columns.items()}
+            | {name: format_rational(source[(n, u, z)]) for name, source in columns.items()}
             for (n, u, z) in triples
         ]
         if definition is not None:
@@ -350,11 +353,11 @@ def _render_decomposability(
     if report.witness is not None:
         n, u, z = report.witness
         residual = next(iter(columns.values()))[report.witness]
-        lines.append(f"witness\tn={n} u={u} z={z} residual={_frac(residual)}")
+        lines.append(f"witness\tn={n} u={u} z={z} residual={format_rational(residual)}")
     lines.append("\t".join(["n", "u", "z", *columns]))
     for triple in triples:
         cells = [str(i) for i in triple]
-        cells += [_frac(source[triple]) for source in columns.values()]
+        cells += [format_rational(source[triple]) for source in columns.values()]
         lines.append("\t".join(cells))
     if definition is not None:
         lines.append("definition\tn\tequal")
@@ -371,9 +374,13 @@ def _render_classification(result: Classification, fmt: str) -> str:
             {
                 "report": "classification",
                 "kind": result.kind.value,
-                "p": None if result.iid_p is None else _frac(result.iid_p),
-                "alpha": None if result.polya_alpha is None else _frac(result.polya_alpha),
-                "beta": None if result.polya_beta is None else _frac(result.polya_beta),
+                "p": None if result.iid_p is None else format_rational(result.iid_p),
+                "alpha": None
+                if result.polya_alpha is None
+                else format_rational(result.polya_alpha),
+                "beta": None
+                if result.polya_beta is None
+                else format_rational(result.polya_beta),
                 "witness": list(witness) if isinstance(witness, tuple) else witness,
                 "verified_order": result.verified_order,
             }
@@ -386,16 +393,12 @@ def _render_classification(result: Classification, fmt: str) -> str:
         else:
             lines.append(f"witness\tmoment_order={witness}")
     if result.iid_p is not None:
-        lines.append(f"p\t{_frac(result.iid_p)}")
+        lines.append(f"p\t{format_rational(result.iid_p)}")
     if result.polya_alpha is not None:
-        lines.append(f"alpha\t{_frac(result.polya_alpha)}")
-        lines.append(f"beta\t{_frac(result.polya_beta)}")
+        lines.append(f"alpha\t{format_rational(result.polya_alpha)}")
+        lines.append(f"beta\t{format_rational(result.polya_beta)}")
     lines.append(f"verified_order\t{result.verified_order}")
     return "\n".join(lines) + "\n"
-
-
-def _float_repr(value: float) -> str:
-    return repr(value)
 
 
 def _render_sample(report: SampleReport, fmt: str) -> str:
@@ -405,7 +408,7 @@ def _render_sample(report: SampleReport, fmt: str) -> str:
             comparison = [
                 {
                     "zeros": row.zeros,
-                    "expected": _frac(row.expected_probability),
+                    "expected": format_rational(row.expected_probability),
                     "empirical": row.empirical_frequency,
                     "z": row.z_score,
                 }
@@ -435,9 +438,9 @@ def _render_sample(report: SampleReport, fmt: str) -> str:
         for row in report.comparison:
             count = report.zero_count_histogram[row.zeros]
             lines.append(
-                f"{row.zeros}\t{count}\t{_frac(row.expected_probability)}"
-                f"\t{_float_repr(row.empirical_frequency)}"
-                f"\t{_float_repr(row.z_score)}"
+                f"{row.zeros}\t{count}\t{format_rational(row.expected_probability)}"
+                f"\t{row.empirical_frequency!r}"
+                f"\t{row.z_score!r}"
             )
     return "\n".join(lines) + "\n"
 
@@ -454,9 +457,9 @@ def _cmd_moments(args) -> tuple[int, str]:
     values = [measure.moment(n) for n in range(args.max_n + 1)]
     if args.format == "json":
         return 0, json.dumps(
-            {"measure": measure.describe(), "moments": [_frac(v) for v in values]}
+            {"measure": measure.describe(), "moments": [format_rational(v) for v in values]}
         ) + "\n"
-    lines = ["n\tmoment"] + [f"{n}\t{_frac(v)}" for n, v in enumerate(values)]
+    lines = ["n\tmoment"] + [f"{n}\t{format_rational(v)}" for n, v in enumerate(values)]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -465,21 +468,21 @@ def _cmd_probabilities(args) -> tuple[int, str]:
     if args.n < 0:
         raise ParseError("--n must be non-negative")
     n = args.n
-    rows = [(j, measure.config_probability(n, j)) for j in range(n + 1)]
+    rows = []
+    for j in range(n + 1):
+        p = measure.config_probability(n, j)
+        rows.append((j, format_rational(p), format_rational(binom(n, j) * p)))
     if args.format == "json":
         return 0, json.dumps(
             {
                 "measure": measure.describe(),
                 "n": n,
                 "probabilities": [
-                    {"j": j, "probability": _frac(p), "weighted": _frac(binom(n, j) * p)}
-                    for j, p in rows
+                    {"j": j, "probability": p, "weighted": w} for j, p, w in rows
                 ],
             }
         ) + "\n"
-    lines = ["j\tprobability\tweighted"]
-    for j, p in rows:
-        lines.append(f"{j}\t{_frac(p)}\t{_frac(binom(n, j) * p)}")
+    lines = ["j\tprobability\tweighted"] + [f"{j}\t{p}\t{w}" for j, p, w in rows]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -491,16 +494,18 @@ def _cmd_kernel(args) -> tuple[int, str]:
             {
                 "measure": measure.describe(),
                 "n": args.n,
-                "kernel": [_frac(v) for v in kernel.values],
+                "kernel": [format_rational(v) for v in kernel.values],
             }
         ) + "\n"
-    lines = ["k\tvalue"] + [f"{k}\t{_frac(v)}" for k, v in enumerate(kernel.values)]
+    lines = ["k\tvalue"] + [f"{k}\t{format_rational(v)}" for k, v in enumerate(kernel.values)]
     return 0, "\n".join(lines) + "\n"
 
 
 def _cmd_project(args) -> tuple[int, str]:
     measure = parse_measure_spec(_read(args.measure))
     statistic = parse_statistic_spec(_read(args.statistic))
+    if statistic.n > MAX_ORDER:
+        raise ParseError(f"--statistic arity must be at most {MAX_ORDER}")
     report = hoeffding_decomposition(statistic, measure)
     return 0, render_report(report, args.format, measure=measure)
 
@@ -564,10 +569,11 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 
 def _cmd_recover_beta(args) -> tuple[int, str]:
-    alpha, beta = recover_beta(parse_rational(args.c1), parse_rational(args.c2))
+    fitted = recover_beta(parse_rational(args.c1), parse_rational(args.c2))
+    alpha, beta = map(format_rational, fitted)
     if args.format == "json":
-        return 0, json.dumps({"alpha": _frac(alpha), "beta": _frac(beta)}) + "\n"
-    return 0, f"alpha\t{_frac(alpha)}\nbeta\t{_frac(beta)}\n"
+        return 0, json.dumps({"alpha": alpha, "beta": beta}) + "\n"
+    return 0, f"alpha\t{alpha}\nbeta\t{beta}\n"
 
 
 def _cmd_recursion(args) -> tuple[int, str]:
@@ -584,16 +590,16 @@ def _cmd_recursion(args) -> tuple[int, str]:
             {
                 "measure": measure.describe(),
                 "witness": witness,
-                "residuals": [{"n": n, "residual": _frac(r)} for n, r in rows],
+                "residuals": [{"n": n, "residual": format_rational(r)} for n, r in rows],
             }
         ) + "\n"
     lines = []
     if witness is not None:
         residual = dict(rows)[witness]
-        lines.append(f"witness\tn={witness} residual={_frac(residual)}")
+        lines.append(f"witness\tn={witness} residual={format_rational(residual)}")
     lines.append("n\tresidual")
     for n, r in rows:
-        lines.append(f"{n}\t{_frac(r)}")
+        lines.append(f"{n}\t{format_rational(r)}")
     return code, "\n".join(lines) + "\n"
 
 
@@ -633,6 +639,8 @@ def dispatch(argv: list[str]) -> tuple[int, str, str]:
                 raise ParseError(f"--{name.replace('_', '-')} must be at most {limit}")
         code, output = _HANDLERS[args.verb](args)
         return code, output, ""
+    except _HelpRequested as help_text:
+        return 0, str(help_text), ""
     except ParseError as exc:
         return 2, "", f"error: {exc}\n"
     except InternalError:

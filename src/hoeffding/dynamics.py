@@ -1,6 +1,5 @@
-"""Moment-level machinery: the forced moment recursion, Beta recovery,
-sequence classification, and the affine-predictive (Diaconis-Ylvisaker
-style) checks.
+"""Moment-level machinery: the forced moment recursion, Beta recovery and
+sequence classification.
 
 Decomposability forces a rational recursion on the moments mu_n of the
 mixing law: with
@@ -19,7 +18,6 @@ exact comparisons per order.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,13 +28,9 @@ from .errors import (
     IndexRangeError,
     InternalError,
     MomentRegionError,
-    ParameterRangeError,
     ZeroDenominatorError,
 )
 from .measures import DeFinettiMeasure
-
-# Seed for the reproducible sampling of the moment region S; override per call.
-DEFAULT_REGION_SEED = 1729
 
 
 class ClassificationKind(Enum):
@@ -152,89 +146,6 @@ def recover_beta(c1, c2) -> tuple[Fraction, Fraction]:
     if alpha / total != c1 or alpha * (alpha + 1) / (total * (total + 1)) != c2:
         raise InternalError(f"Beta({alpha}, {beta}) does not reproduce ({c1}, {c2})")
     return alpha, beta
-
-
-def is_urn_integer_eligible(c1, c2) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Whether the Beta parameters recovered from (c1, c2) are integers.
-
-    Integer parameters are exactly the case where decomposability coincides
-    with being a reinforcement urn process with integer initial composition.
-    """
-    alpha, beta = recover_beta(c1, c2)
-    if alpha.denominator == 1 and beta.denominator == 1:
-        return True, (int(alpha), int(beta))
-    return False, None
-
-
-def predictive_affinity_residual(measure: DeFinettiMeasure, n: int, p: int) -> Fraction:
-    """Second difference in p of the predictive probabilities at order n.
-
-    Vanishing for all 0 <= p <= n-2 says the map p -> P(next is 1 | p zeros)
-    is affine at that n; Beta and point-mass measures satisfy it at every
-    order.
-    """
-    if n < 2:
-        raise IndexRangeError("n must be at least 2")
-    if not 0 <= p <= n - 2:
-        raise IndexRangeError(f"need 0 <= p <= n-2, got p={p} n={n}")
-    pp = measure.predictive_probability
-    return pp(n, p + 2) - 2 * pp(n, p + 1) + pp(n, p)
-
-
-def fit_predictive_affine(measure: DeFinettiMeasure, n: int) -> tuple[Fraction, Fraction]:
-    """Exact (slope, intercept) of the predictive map fitted at p = 0, 1.
-
-    The fit is meaningful when ``predictive_affinity_residual`` vanishes for
-    all p at this n; no sign constraint is imposed on either coefficient
-    (in zero-count coordinates the slope of a Polya sequence is negative).
-    """
-    if n < 1:
-        raise IndexRangeError("n must be at least 1")
-    at0 = measure.predictive_probability(n, 0)
-    at1 = measure.predictive_probability(n, 1)
-    return at1 - at0, at0
-
-
-def affine_predictive_coefficients(a, b, n: int) -> tuple[Fraction, Fraction]:
-    """Closed-form affine predictive family (a_n, b_n) = (1, b) / (1 + a(n-1)).
-
-    The two-parameter family realized by sequences whose predictive
-    probabilities are affine at every order, for a > 0, b > 0, a + b < 1.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0 or a + b >= 1:
-        raise ParameterRangeError("need a > 0, b > 0 and a + b < 1")
-    if n < 1:
-        raise IndexRangeError("n must be at least 1")
-    denominator = 1 + a * (n - 1)
-    return Fraction(1) / denominator, b / denominator
-
-
-def sample_moment_region(
-    count: int,
-    seed: int = DEFAULT_REGION_SEED,
-    max_denominator: int = 10**6,
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Pseudo-random rational triples in S = {0 < x < y < z < 1}.
-
-    Denominators are bounded to keep downstream exact arithmetic fast; the
-    draw is deterministic in the seed. The default bound is large enough
-    that samples land on the zero sets of the recursion polynomials only
-    with negligible probability (small bounds make exact hits routine).
-    """
-    if count < 0:
-        raise IndexRangeError("count must be non-negative")
-    rng = random.Random(seed)
-    triples = []
-    while len(triples) < count:
-        draws = set()
-        while len(draws) < 3:
-            den = rng.randint(2, max_denominator)
-            num = rng.randint(1, den - 1)
-            draws.add(Fraction(num, den))
-        x, y, z = sorted(draws)
-        triples.append((x, y, z))
-    return triples
 
 
 def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:

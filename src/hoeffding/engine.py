@@ -13,12 +13,13 @@ completely degenerate kernels:
 * the alternating-sum residual over conditional zero-count probabilities
   (``decomposability_residual``), which must vanish for every triple
   (n, u, z) exactly when the sequence is decomposable;
-* the weak-independence route (``weak_independence_residual``): symmetrized
-  partial-overlap conditional expectations of the canonical degenerate
-  kernel;
-* direct subspace equality (``check_hoeffding_spaces``): each Hoeffding
-  layer must coincide with the span of lifted completely degenerate
-  kernels, tested by exact orthogonality to all lower-degree polynomials.
+* the weak-independence route (the ``cross_residuals`` of
+  ``check_decomposable``): symmetrized partial-overlap conditional
+  expectations of the canonical degenerate kernel;
+* direct subspace equality (``level_subspace_check``, one level at a
+  time): each Hoeffding layer must coincide with the span of lifted
+  completely degenerate kernels, tested by exact orthogonality to all
+  lower-degree polynomials.
 
 The two residual routes are tied by the exact identity
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import linalg
 from .errors import IndexRangeError, InternalError, ParameterRangeError
@@ -210,15 +211,6 @@ def polya_projection_coefficients(alpha, beta) -> tuple[Fraction, Fraction, Frac
     return ((s + 1) / (s + 3), -2 * (s + 1) / (s + 4), (s + 2) / (s + 4))
 
 
-def _check_triple(n: int, u: int, z: int) -> None:
-    if n < 2:
-        raise IndexRangeError("n must be at least 2")
-    if not 2 <= u <= n:
-        raise IndexRangeError(f"need 2 <= u <= n, got u={u} n={n}")
-    if not 0 <= z <= n - 1:
-        raise IndexRangeError(f"need 0 <= z <= n-1, got z={z} n={n}")
-
-
 def decomposability_residual(
     measure: DeFinettiMeasure, n: int, u: int, z: int
 ) -> Fraction:
@@ -228,7 +220,12 @@ def decomposability_residual(
     necessary and sufficient for Hoeffding decomposability; a nonzero value
     is an explicit witness of non-decomposability.
     """
-    _check_triple(n, u, z)
+    if n < 2:
+        raise IndexRangeError("n must be at least 2")
+    if not 2 <= u <= n:
+        raise IndexRangeError(f"need 2 <= u <= n, got u={u} n={n}")
+    if not 0 <= z <= n - 1:
+        raise IndexRangeError(f"need 0 <= z <= n-1, got z={z} n={n}")
     measure.require_nondeterministic(n + u - 1)
     total = Fraction(0)
     for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
@@ -251,20 +248,6 @@ def _weak_residual_row(
     """Symmetrized overlap conditional of the canonical kernel, all z at once."""
     kernel = canonical_degenerate_kernel(measure, n)
     return symmetrize(cond_expectation_overlap(kernel, measure, u))
-
-
-def weak_independence_residual(
-    measure: DeFinettiMeasure, n: int, u: int, z: int
-) -> Fraction:
-    """Weak-independence route: the symmetrized partial-overlap conditional
-    expectation of the canonical degenerate kernel, evaluated at z zeros.
-
-    Vanishes simultaneously with ``decomposability_residual`` at every
-    triple (exact proportionality, constant in z-independent factors).
-    """
-    _check_triple(n, u, z)
-    measure.require_nondeterministic(n + u - 1)
-    return _weak_residual_row(measure, n, u)[z]
 
 
 def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
@@ -291,27 +274,6 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
     return True
 
 
-def check_hoeffding_spaces(measure: DeFinettiMeasure, n: int) -> bool:
-    """True iff every Hoeffding layer up to level n is spanned by lifted
-    completely degenerate kernels (the subspace form of decomposability,
-    verified for kernel orders 2..n)."""
-    return all(level_subspace_check(measure, level) for level in range(2, n + 1))
-
-
-def iter_decomposability_residuals(
-    measure: DeFinettiMeasure, n_max: int
-) -> Iterator[tuple[Triple, Fraction, Fraction]]:
-    """Yield ((n, u, z), residual, weak_residual) in scan order."""
-    if n_max < 2:
-        raise IndexRangeError("n_max must be at least 2")
-    measure.require_nondeterministic(2 * n_max - 1)
-    for n in range(2, n_max + 1):
-        for u in range(2, n + 1):
-            row = _weak_residual_row(measure, n, u)
-            for z in range(n):
-                yield (n, u, z), decomposability_residual(measure, n, u, z), row[z]
-
-
 def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> DecomposabilityReport:
     """Scan all triples up to n_max through both residual routes.
 
@@ -319,18 +281,25 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     the verdict is bounded ("decomposable up to n_max"), never a claim for
     all n.
     """
+    if n_max < 2:
+        raise IndexRangeError("n_max must be at least 2")
+    measure.require_nondeterministic(2 * n_max - 1)
     residuals: dict[Triple, Fraction] = {}
     cross: dict[Triple, Fraction] = {}
     witness: Optional[Triple] = None
-    for triple, primary, secondary in iter_decomposability_residuals(measure, n_max):
-        residuals[triple] = primary
-        cross[triple] = secondary
-        if (primary == 0) != (secondary == 0):
-            raise InternalError(
-                f"residual routes disagree at {triple}: {primary} vs {secondary}"
-            )
-        if primary != 0 and witness is None:
-            witness = triple
+    for n in range(2, n_max + 1):
+        for u in range(2, n + 1):
+            row = _weak_residual_row(measure, n, u)
+            for z in range(n):
+                triple = (n, u, z)
+                residuals[triple] = primary = decomposability_residual(measure, n, u, z)
+                cross[triple] = weak = row[z]
+                if (primary == 0) != (weak == 0):
+                    raise InternalError(
+                        f"residual routes disagree at {triple}: {primary} vs {weak}"
+                    )
+                if primary != 0 and witness is None:
+                    witness = triple
     verdict = Verdict.NOT_DECOMPOSABLE if witness else Verdict.DECOMPOSABLE_UP_TO_N_MAX
     return DecomposabilityReport(
         n_max=n_max,

@@ -48,10 +48,6 @@ from .errors import (
 from .measures import DeFinettiMeasure, MeasureKind
 from .rationals import format_rational, parse_rational
 
-# |z| threshold used by the cross-validation suite: two-sided false-alarm
-# probability about 6e-5 per cell.
-DEFAULT_Z_THRESHOLD = 4.0
-
 _MASK64 = (1 << 64) - 1
 # SplitMix64 increment and finalizer multipliers
 _GAMMA = 0x9E3779B97F4A7C15
@@ -399,11 +395,6 @@ class SampleReport:
         drawn = sum(self.zero_count_histogram)
         if drawn != self.trials:
             raise InternalError(f"histogram holds {drawn} draws, not {self.trials}")
-
-    def max_abs_z(self) -> Optional[float]:
-        if self.comparison is None:
-            return None
-        return max(abs(row.z_score) for row in self.comparison)
 
 
 def _histogram(

@@ -8,9 +8,8 @@ conditional expectations, are stored on the full (v+1) x (w+1) zero-count
 grid of their two blocks.
 
 Operations: U-statistic lifting, the L2 inner product of an exchangeable
-law, nested and partial-overlap conditional expectations, canonical
-symmetrization, and the one-step degeneracy residual. All are linear in
-their function argument and exact.
+law, nested and partial-overlap conditional expectations, and canonical
+symmetrization. All are linear in their function argument and exact.
 """
 
 from __future__ import annotations
@@ -64,15 +63,9 @@ class SymmetricFunction:
         self._check_arity(other)
         return SymmetricFunction(tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def __neg__(self) -> "SymmetricFunction":
-        return SymmetricFunction(tuple(-a for a in self.values))
-
     def scale(self, factor) -> "SymmetricFunction":
         factor = Fraction(factor)
         return SymmetricFunction(tuple(factor * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
 
     def _check_arity(self, other: "SymmetricFunction") -> None:
         if self.n != other.n:
@@ -154,7 +147,8 @@ def cond_expectation_prefix(
 
     Conditioned on j zeros among the first a observations, the remaining
     n - a carry m extra zeros with probability
-    C(n-a, m) P_n(j+m zeros) / P_a(j zeros).
+    C(n-a, m) P_n(j+m zeros) / P_a(j zeros). At a = n - 1 this is the
+    one-step degeneracy residual, zero exactly for degenerate kernels.
     """
     n = statistic.n
     if not 0 <= a <= n:
@@ -240,38 +234,6 @@ def symmetrize(f: BiSymmetricFunction) -> SymmetricFunction:
             Fraction(0),
         )
         values.append(numerator / binom(m, z))
-    return SymmetricFunction(tuple(values))
-
-
-def degeneracy_residual(
-    kernel: SymmetricFunction, measure: DeFinettiMeasure
-) -> SymmetricFunction:
-    """E[kernel(X_1..X_k) | all but one argument], arity k-1.
-
-    The unobserved argument is 0 or 1, giving the two-term identity
-
-        r(j) = kernel(j+1) P_k(j+1) / P_{k-1}(j) + kernel(j) P_k(j) / P_{k-1}(j).
-
-    The kernel is completely degenerate exactly when the residual vanishes
-    identically.
-    """
-    k = kernel.n
-    if k < 1:
-        raise IndexRangeError("kernel arity must be at least 1")
-    values = []
-    for j in range(k):
-        denominator = measure.config_probability(k - 1, j)
-        if denominator == 0:
-            raise DeterministicMeasureError(
-                f"conditioning event has probability zero (n={k - 1}, zeros={j})"
-            )
-        values.append(
-            (
-                kernel[j + 1] * measure.config_probability(k, j + 1)
-                + kernel[j] * measure.config_probability(k, j)
-            )
-            / denominator
-        )
     return SymmetricFunction(tuple(values))
 
 

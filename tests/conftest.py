@@ -1,5 +1,7 @@
 """Shared test measures, configuration-probability oracles, brute-force
-enumeration oracles, the Gram oracle and the per-bit sampling oracle.
+enumeration oracles, the Gram oracle, the per-bit sampling oracle, and the
+scaffolding only tests use: the two-term degeneracy residual, the
+affine-predictive helpers and the moment-region sampler.
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
@@ -11,16 +13,31 @@ only the specified generator (``trial_stream`` and ``SplitMix64.random``)
 and compares float uniforms with float probabilities, bit by bit.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
-from hoeffding import DeFinettiMeasure, MeasureKind, SymmetricFunction, UrnSpec
+from hoeffding import (
+    DeFinettiMeasure,
+    DeterministicMeasureError,
+    IndexRangeError,
+    MeasureKind,
+    ParameterRangeError,
+    SymmetricFunction,
+    UrnSpec,
+)
 from hoeffding.montecarlo import trial_stream
 
 F = Fraction
+
+# |z| threshold of the statistical assertions: two-sided false-alarm
+# probability about 6e-5 per cell.
+DEFAULT_Z_THRESHOLD = 4.0
+# Seed for the reproducible sampling of the moment region S; override per call.
+DEFAULT_REGION_SEED = 1729
 
 
 def beta11():
@@ -403,3 +420,101 @@ def reference_histogram(source, n, trials, seed):
                 ones += rng.random() < table[m][ones]
         counts[n - ones] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# degeneracy oracle: the two-term conditional expectation
+# ---------------------------------------------------------------------------
+
+
+def degeneracy_residual(kernel, measure):
+    """E[kernel(X_1..X_k) | all but one argument], arity k-1.
+
+    The unobserved argument is 0 or 1, giving the two-term identity
+
+        r(j) = kernel(j+1) P_k(j+1) / P_{k-1}(j) + kernel(j) P_k(j) / P_{k-1}(j).
+
+    The kernel is completely degenerate exactly when the residual vanishes
+    identically.
+    """
+    k = kernel.n
+    if k < 1:
+        raise IndexRangeError("kernel arity must be at least 1")
+    values = []
+    for j in range(k):
+        denominator = measure.config_probability(k - 1, j)
+        if denominator == 0:
+            raise DeterministicMeasureError(
+                f"conditioning event has probability zero (n={k - 1}, zeros={j})"
+            )
+        values.append(
+            (
+                kernel[j + 1] * measure.config_probability(k, j + 1)
+                + kernel[j] * measure.config_probability(k, j)
+            )
+            / denominator
+        )
+    return SymmetricFunction(tuple(values))
+
+
+# ---------------------------------------------------------------------------
+# affine predictive probabilities (after Diaconis & Ylvisaker, 1979)
+# ---------------------------------------------------------------------------
+
+
+def predictive_affinity_residual(measure, n, p):
+    """Second difference in p of the predictive probabilities at order n.
+
+    Vanishing for all 0 <= p <= n-2 says the map p -> P(next is 1 | p zeros)
+    is affine at that n; Beta and point-mass measures satisfy it at every
+    order.
+    """
+    if n < 2:
+        raise IndexRangeError("n must be at least 2")
+    if not 0 <= p <= n - 2:
+        raise IndexRangeError(f"need 0 <= p <= n-2, got p={p} n={n}")
+    pp = measure.predictive_probability
+    return pp(n, p + 2) - 2 * pp(n, p + 1) + pp(n, p)
+
+
+def affine_predictive_coefficients(a, b, n):
+    """Closed-form affine predictive family (a_n, b_n) = (1, b) / (1 + a(n-1)).
+
+    The two-parameter family realized by sequences whose predictive
+    probabilities are affine at every order, for a > 0, b > 0, a + b < 1.
+    """
+    a, b = F(a), F(b)
+    if a <= 0 or b <= 0 or a + b >= 1:
+        raise ParameterRangeError("need a > 0, b > 0 and a + b < 1")
+    if n < 1:
+        raise IndexRangeError("n must be at least 1")
+    denominator = 1 + a * (n - 1)
+    return F(1) / denominator, b / denominator
+
+
+# ---------------------------------------------------------------------------
+# moment-region sampler
+# ---------------------------------------------------------------------------
+
+
+def sample_moment_region(count, seed=DEFAULT_REGION_SEED, max_denominator=10**6):
+    """Pseudo-random rational triples in S = {0 < x < y < z < 1}.
+
+    Denominators are bounded to keep downstream exact arithmetic fast; the
+    draw is deterministic in the seed. The default bound is large enough
+    that samples land on the zero sets of the recursion polynomials only
+    with negligible probability (small bounds make exact hits routine).
+    """
+    if count < 0:
+        raise IndexRangeError("count must be non-negative")
+    rng = random.Random(seed)
+    triples = []
+    while len(triples) < count:
+        draws = set()
+        while len(draws) < 3:
+            den = rng.randint(2, max_denominator)
+            num = rng.randint(1, den - 1)
+            draws.add(F(num, den))
+        x, y, z = sorted(draws)
+        triples.append((x, y, z))
+    return triples

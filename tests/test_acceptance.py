@@ -21,6 +21,7 @@ from hoeffding import (
     SymmetricFunction,
     UrnSpec,
     canonical_degenerate_kernel,
+    check_decomposable,
     compare_exact_empirical,
     decomposability_residual,
     degenerate_kernel_basis,
@@ -32,20 +33,19 @@ from hoeffding import (
     moment_recursion_residual,
     next_moment,
     polya_projection_coefficients,
-    predictive_affinity_residual,
     recover_beta,
-    sample_moment_region,
     urn_histogram,
-    weak_independence_residual,
 )
 from hoeffding.cli import dispatch
-from hoeffding.montecarlo import DEFAULT_Z_THRESHOLD
 from hoeffding.rationals import binom
 from conftest import (
+    DEFAULT_Z_THRESHOLD,
     all_measures,
     decomposable_measures,
     gram_decomposition,
+    predictive_affinity_residual,
     published_polya_coefficients,
+    sample_moment_region,
     unif_half,
 )
 from test_engine import fitted_polya_coefficients
@@ -119,7 +119,7 @@ def test_criterion_01_decomposable_measures(tmp_path):
 def test_criterion_02_uniform_witness(tmp_path):
     measure = unif_half()
     assert decomposability_residual(measure, 2, 2, 0) == F(-3, 56)
-    assert weak_independence_residual(measure, 2, 2, 0) == F(-1, 56)
+    assert check_decomposable(measure, 2).cross_residuals[(2, 2, 0)] == F(-1, 56)
     assert moment_recursion_residual(measure, 2) == F(-1, 2304)
     path = tmp_path / "unif.json"
     path.write_text(
@@ -216,10 +216,11 @@ def test_criterion_05_projection_formulas():
 def test_criterion_06_route_equivalence():
     for measure in all_measures():
         top = measure.config_probability
+        cross = check_decomposable(measure, 6).cross_residuals
         for n in range(2, 7):
             for u in range(2, n + 1):
                 for z in range(n):
-                    weak = weak_independence_residual(measure, n, u, z)
+                    weak = cross[(n, u, z)]
                     primary = decomposability_residual(measure, n, u, z)
                     assert weak * binom(n - 1, z) * top(n - 1, z) == primary * top(n, 0)
 

@@ -21,6 +21,7 @@ from hoeffding import (
     hoeffding_decomposition,
 )
 from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, parse_report, render_report
+from hoeffding.measures import MAX_MOMENT_ORDER
 from conftest import twopoint, unif_half
 
 F = Fraction
@@ -351,6 +352,26 @@ BOUNDED_ARGVS = [
 ]
 
 
+VERBS = [
+    "moments",
+    "probabilities",
+    "kernel",
+    "project",
+    "check",
+    "classify",
+    "recover-beta",
+    "recursion",
+    "simulate",
+]
+
+
+def order_document(kind, order):
+    if kind == "truncated_uniform":
+        return json.dumps({"type": kind, "epsilon": "1/2", "order": order})
+    # Beta(1,1) moments 1/(n+1), a completely monotone sequence
+    return json.dumps({"type": kind, "values": [f"1/{n + 1}" for n in range(order + 1)]})
+
+
 def bounded(argv, excess):
     values = {"order": MAX_ORDER + excess, "trials": MAX_TRIALS + excess}
     return [token.format(**values) for token in argv]
@@ -372,14 +393,10 @@ class TestSizeBounds:
         assert code == 2 and out == ""
         assert "cannot read missing.json" in err
 
-    @pytest.mark.parametrize(
-        "verb",
-        ["moments", "probabilities", "kernel", "check", "classify", "recursion", "simulate"],
-    )
-    def test_help_states_bounds(self, verb, capsys):
-        with pytest.raises(SystemExit):
-            dispatch([verb, "--help"])
-        text = capsys.readouterr().out
+    @pytest.mark.parametrize("verb", [verb for verb in VERBS if verb != "recover-beta"])
+    def test_help_states_bounds(self, verb):
+        code, text, err = dispatch([verb, "--help"])
+        assert (code, err) == (0, "")
         assert f"at most {MAX_ORDER}" in text
         if verb == "simulate":
             assert str(MAX_TRIALS) in text
@@ -392,6 +409,65 @@ class TestSizeBounds:
             assert int(value) <= (MAX_TRIALS if flag == "trials" else MAX_ORDER)
         assert f"--max-n` and `--n` at most {MAX_ORDER}" in readme
         assert f"`--trials` at most {MAX_TRIALS}" in readme
+        assert f"statistic of arity at most {MAX_ORDER}" in readme
+        assert f"moment order at most {MAX_MOMENT_ORDER}" in readme
+
+    def test_moment_order_bound_covers_max_order(self):
+        # check --max-n MAX_ORDER reads moments up to order 2 * MAX_ORDER - 1
+        assert MAX_MOMENT_ORDER == 2 * MAX_ORDER - 1
+
+    @pytest.mark.parametrize(
+        "document,accepted",
+        [
+            (order_document("truncated_uniform", MAX_MOMENT_ORDER), True),
+            (order_document("moments", MAX_MOMENT_ORDER), True),
+            (order_document("truncated_uniform", MAX_MOMENT_ORDER + 1), False),
+            (order_document("moments", MAX_MOMENT_ORDER + 1), False),
+            (order_document("truncated_uniform", 10**12), False),
+        ],
+        ids=["uniform-bound", "moments-bound", "uniform-above", "moments-above", "uniform-huge"],
+    )
+    def test_measure_order(self, tmp_path, document, accepted):
+        path = tmp_path / "measure.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, err = dispatch(["moments", "--measure", str(path), "--max-n", "2"])
+        if accepted:
+            assert (code, err) == (0, "") and out.startswith("n\tmoment\n")
+        else:
+            assert code == 2 and out == ""
+            assert f"measure order must be at most {MAX_MOMENT_ORDER}" in err
+
+    @pytest.mark.parametrize("excess,accepted", [(0, True), (1, False)])
+    def test_project_arity(self, files, tmp_path, excess, accepted):
+        arity = MAX_ORDER + excess
+        path = tmp_path / "statistic.json"
+        path.write_text(
+            json.dumps({"n": arity, "values": [str(z % 3) for z in range(arity + 1)]}),
+            encoding="utf-8",
+        )
+        argv = ["project", "--measure", files["beta11.json"], "--statistic", str(path)]
+        code, out, err = dispatch(argv)
+        if accepted:
+            assert (code, err) == (0, "") and out.startswith("measure\tbeta(1,1)\n")
+        else:
+            assert code == 2 and out == ""
+            assert f"--statistic arity must be at most {MAX_ORDER}" in err
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "argv", [[verb, "--help"] for verb in VERBS] + [["--help"]], ids=" ".join
+    )
+    def test_dispatch_returns_what_the_command_prints(self, argv, monkeypatch):
+        # argparse wraps help to the terminal width; pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        result = subprocess.run(
+            [sys.executable, "-m", "hoeffding", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert dispatch(argv) == (0, result.stdout, "")
 
 
 GOLDEN_CASES = [

@@ -13,20 +13,24 @@ from hoeffding import (
     MomentRegionError,
     ParameterRangeError,
     ZeroDenominatorError,
-    affine_predictive_coefficients,
     classify,
     decomposability_residual,
-    fit_predictive_affine,
-    is_urn_integer_eligible,
     moment_polynomials,
     moment_recursion_residual,
     next_moment,
-    predictive_affinity_residual,
     recover_beta,
-    sample_moment_region,
 )
 from hoeffding.rationals import binom
-from conftest import beta11, beta23, dirac12, twopoint, unif_half
+from conftest import (
+    affine_predictive_coefficients,
+    beta11,
+    beta23,
+    dirac12,
+    predictive_affinity_residual,
+    sample_moment_region,
+    twopoint,
+    unif_half,
+)
 
 F = Fraction
 
@@ -154,21 +158,26 @@ class TestRecoverBeta:
 
 
 class TestUrnIntegerEligibility:
+    # integer Beta parameters are exactly the case where decomposability
+    # coincides with an integer-composition reinforcement urn
     def test_symmetric_two(self):
-        assert is_urn_integer_eligible(F(1, 2), F(3, 10)) == (True, (2, 2))
+        alpha, beta = recover_beta(F(1, 2), F(3, 10))
+        assert alpha.denominator == beta.denominator == 1 and (alpha, beta) == (2, 2)
 
     def test_uniform_prior(self):
-        assert is_urn_integer_eligible(F(1, 2), F(1, 3)) == (True, (1, 1))
+        alpha, beta = recover_beta(F(1, 2), F(1, 3))
+        assert alpha.denominator == beta.denominator == 1 and (alpha, beta) == (1, 1)
 
     def test_six_nine(self):
         # exact solve gives (6, 9): integers
-        assert recover_beta(F(2, 5), F(7, 40)) == (6, 9)
-        assert is_urn_integer_eligible(F(2, 5), F(7, 40)) == (True, (6, 9))
+        alpha, beta = recover_beta(F(2, 5), F(7, 40))
+        assert (alpha, beta) == (6, 9)
+        assert alpha.denominator == beta.denominator == 1
 
     def test_non_integer(self):
         m = DeFinettiMeasure.beta(F(3, 2), 2)
-        eligible, pair = is_urn_integer_eligible(m.moment(1), m.moment(2))
-        assert eligible is False and pair is None
+        alpha, beta = recover_beta(m.moment(1), m.moment(2))
+        assert not alpha.denominator == beta.denominator == 1
 
 
 class TestPredictiveAffinity:
@@ -257,8 +266,13 @@ class TestAffinePredictiveFamily:
         # the negative of this (checking stays sign-agnostic).
         m = DeFinettiMeasure.beta(alpha, beta)
 
+        def zeros_fit(n):
+            # (slope, intercept) of the line through p = 0 and p = 1
+            at0, at1 = m.predictive_probability(n, 0), m.predictive_probability(n, 1)
+            return at1 - at0, at0
+
         def ones_fit(n):
-            slope_zeros, intercept_zeros = fit_predictive_affine(m, n)
+            slope_zeros, intercept_zeros = zeros_fit(n)
             return -slope_zeros, intercept_zeros + n * slope_zeros
 
         a, b = ones_fit(1)
@@ -268,7 +282,7 @@ class TestAffinePredictiveFamily:
             family_first, family_second = affine_predictive_coefficients(a, b, n)
             assert slope == a * family_first
             assert intercept == family_second
-            assert fit_predictive_affine(m, n)[0] == -slope
+            assert zeros_fit(n)[0] == -slope
 
 
 class TestMomentRegionSampling:

@@ -26,7 +26,6 @@ from hoeffding import (
     Verdict,
     canonical_degenerate_kernel,
     check_decomposable,
-    check_hoeffding_spaces,
     cond_expectation_prefix,
     decomposability_residual,
     degenerate_kernel_basis,
@@ -36,7 +35,6 @@ from hoeffding import (
     level_subspace_check,
     lift_ustatistic,
     polya_projection_coefficients,
-    weak_independence_residual,
 )
 from hoeffding.rationals import binom
 from conftest import (
@@ -118,7 +116,7 @@ class TestHoeffdingDecomposition:
         assert report.mean == F(5, 7)
         assert report.components[0] == t
         for component in report.components[1:]:
-            assert component.is_zero()
+            assert all(v == 0 for v in component.values)
 
     def test_worked_example(self):
         t = SymmetricFunction((F(0), F(0), F(1)))
@@ -158,7 +156,7 @@ class TestHoeffdingDecomposition:
                 if j == k:
                     assert again.components[j] == report.components[k]
                 else:
-                    assert again.components[j].is_zero()
+                    assert all(v == 0 for v in again.components[j].values)
 
     def test_matches_gram_oracle(self, any_measure):
         rng = random.Random(67)
@@ -229,7 +227,7 @@ class TestIidProjection:
     def test_constant_centered_away(self):
         t = SymmetricFunction.constant(4, F(3, 2))
         for k in range(1, 5):
-            assert iid_projection(t, F(1, 3), k).is_zero()
+            assert all(v == 0 for v in iid_projection(t, F(1, 3), k).values)
 
     @pytest.mark.parametrize("p", [F(1, 2), F(1, 3), F(2, 5)])
     def test_matches_gram_route(self, p):
@@ -340,20 +338,22 @@ class TestDecomposabilityResidual:
 
 class TestWeakIndependenceResidual:
     def test_uniform_witness_value(self):
-        assert weak_independence_residual(unif_half(), 2, 2, 0) == F(-1, 56)
+        assert check_decomposable(unif_half(), 2).cross_residuals[(2, 2, 0)] == F(-1, 56)
 
     def test_zero_for_decomposable(self, decomposable_measure):
+        cross = check_decomposable(decomposable_measure, 4).cross_residuals
         for n in range(2, 5):
             for u in range(2, n + 1):
                 for z in range(n):
-                    assert weak_independence_residual(decomposable_measure, n, u, z) == 0
+                    assert cross[(n, u, z)] == 0
 
     def test_route_equivalence_identity(self, any_measure):
+        cross = check_decomposable(any_measure, 6).cross_residuals
         for n in range(2, 7):
             top = any_measure.config_probability(n, 0)
             for u in range(2, n + 1):
                 for z in range(n):
-                    weak = weak_independence_residual(any_measure, n, u, z)
+                    weak = cross[(n, u, z)]
                     primary = decomposability_residual(any_measure, n, u, z)
                     lhs = weak * binom(n - 1, z) * any_measure.config_probability(n - 1, z)
                     assert lhs == primary * top
@@ -361,9 +361,13 @@ class TestWeakIndependenceResidual:
 
 class TestSubspaceRoute:
     def test_examples(self):
-        assert check_hoeffding_spaces(beta11(), 4) is True
-        assert check_hoeffding_spaces(unif_half(), 2) is False
-        assert check_hoeffding_spaces(dirac13(), 4) is True
+        # every layer up to level n is spanned by degenerate kernels
+        def spaces(measure, n):
+            return all(level_subspace_check(measure, level) for level in range(2, n + 1))
+
+        assert spaces(beta11(), 4) is True
+        assert spaces(unif_half(), 2) is False
+        assert spaces(dirac13(), 4) is True
 
     def test_level_matches_residual_levels(self, any_measure):
         # subspace equality at one level holds iff all residuals there vanish

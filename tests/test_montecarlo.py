@@ -30,9 +30,9 @@ from hoeffding import (
     urn_histogram,
 )
 from hoeffding import montecarlo
-from hoeffding.montecarlo import DEFAULT_Z_THRESHOLD, SplitMix64, _limit, trial_stream
+from hoeffding.montecarlo import SplitMix64, _limit, trial_stream
 from hoeffding.rationals import binom
-from conftest import beta23, dirac12, unif_half
+from conftest import DEFAULT_Z_THRESHOLD, beta23, dirac12, unif_half
 
 F = Fraction
 
@@ -304,7 +304,7 @@ class TestSampleMixture:
 class TestCompareExactEmpirical:
     def test_beta23_within_threshold(self):
         report = compare_exact_empirical(beta23(), 6, TRIALS, seed=11)
-        assert report.max_abs_z() < DEFAULT_Z_THRESHOLD
+        assert max(abs(row.z_score) for row in report.comparison) < DEFAULT_Z_THRESHOLD
 
     def test_dirac_expected_row(self):
         report = compare_exact_empirical(dirac12(), 5, 1000, seed=2)
@@ -314,7 +314,7 @@ class TestCompareExactEmpirical:
     def test_discrete_mixture_within_threshold(self):
         mixture = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
         report = compare_exact_empirical(mixture, 5, TRIALS, seed=13)
-        assert report.max_abs_z() < DEFAULT_Z_THRESHOLD
+        assert max(abs(row.z_score) for row in report.comparison) < DEFAULT_Z_THRESHOLD
 
     def test_trials_floor(self):
         with pytest.raises(ParameterRangeError):

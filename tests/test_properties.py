@@ -5,11 +5,15 @@ three atoms in (0, 1), or in [0, 1] where endpoint atoms are allowed, are
 drawn by hypothesis. The configuration-probability rows must equal the
 closed-form and alternating-sum oracles of ``conftest``, the one-row
 non-determinism test must equal the full scan, and moment validation must
-reject at the scan's first negative entry. The recurrence layers must equal
-the Gram-matrix oracle exactly, and the subspace route must agree with the
-residual route level by level. The fused Monte Carlo histograms of random
-Beta, discrete and urn specifications must equal the per-bit sampling
-oracle count for count. Examples are capped and derandomized so the suite
+reject at the scan's first negative entry, and the enumeration oracles must
+equal the rows and their conditional quotients. The recurrence layers must
+equal the Gram-matrix oracle exactly, the inclusion-exclusion projection of
+a Dirac law must equal its layers, the subspace route must agree with the
+residual route level by level, and the two residual maps of
+``check_decomposable`` must satisfy the exact route identity at every
+triple, on Beta, discrete and moment-sequence laws. The fused Monte Carlo
+histograms of random Beta, discrete and urn specifications must equal the
+per-bit sampling oracle count for count. Examples are capped and derandomized so the suite
 costs a few seconds and repeats exactly.
 """
 
@@ -28,16 +32,21 @@ from hoeffding import (
     ReinforcementFunction,
     SymmetricFunction,
     UrnSpec,
+    check_decomposable,
     compare_exact_empirical,
     decomposability_residual,
     hoeffding_decomposition,
+    iid_projection,
     level_subspace_check,
     urn_histogram,
 )
+from hoeffding.rationals import binom
 from conftest import (
     alternating_sum_config_probability,
     closed_form_config_probability,
     config_probability_oracle,
+    enum_conditional_zero_count,
+    enum_config_probability,
     first_negative_configuration,
     gram_decomposition,
     nondeterminism_scan,
@@ -153,6 +162,61 @@ def test_subspace_route_matches_residual_route(measure, n):
         for z in range(n)
     )
     assert level_subspace_check(measure, n) == residuals_vanish
+
+
+@st.composite
+def scan_laws(draw):
+    """A non-deterministic law and a scan depth n_max. A moment-sequence law
+    is truncated at or a little past order 2 n_max - 1, the highest order
+    the scan reads."""
+    law = draw(measures)
+    n_max = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        order = 2 * n_max - 1 + draw(st.integers(0, 2))
+        law = DeFinettiMeasure.from_moments([law.moment(k) for k in range(order + 1)])
+    return law, n_max
+
+
+@SETTINGS
+@given(case=scan_laws())
+def test_residual_maps_satisfy_route_identity(case):
+    # weak(n,u,z) C(n-1,z) P_{n-1}(z) = residual(n,u,z) P_n(0), exactly
+    measure, n_max = case
+    report = check_decomposable(measure, n_max)
+    assert len(report.residuals) == sum(n * (n - 1) for n in range(2, n_max + 1))
+    probability = measure.config_probability
+    for (n, u, z), residual in report.residuals.items():
+        weak = report.cross_residuals[(n, u, z)]
+        assert weak * binom(n - 1, z) * probability(n - 1, z) == residual * probability(n, 0)
+
+
+@SETTINGS
+@given(p=unit_rationals(), statistic=statistics(8))
+def test_iid_projection_equals_dirac_layers(p, statistic):
+    layers = hoeffding_decomposition(statistic, DeFinettiMeasure.dirac(p)).components
+    for k in range(1, statistic.n + 1):
+        assert iid_projection(statistic, p, k) == layers[k]
+
+
+@SETTINGS
+@given(
+    measure=discrete_laws(st.one_of(st.sampled_from([F(0), F(1)]), unit_rationals())),
+    n=st.integers(0, 10),
+)
+def test_enumeration_equals_rows(measure, n):
+    assert [enum_config_probability(measure, n, j) for j in range(n + 1)] == [
+        measure.config_probability(n, j) for j in range(n + 1)
+    ]
+
+
+@SETTINGS
+@given(measure=discrete_laws(), n=st.integers(0, 4), v=st.integers(1, 3), data=st.data())
+def test_enumeration_equals_conditional_zero_count(measure, n, v, data):
+    a = data.draw(st.integers(0, n))
+    b = data.draw(st.integers(a, a + v))
+    assert measure.conditional_zero_count(n, v, a, b) == enum_conditional_zero_count(
+        measure, n, v, a, b
+    )
 
 
 @SETTINGS

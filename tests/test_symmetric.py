@@ -16,7 +16,6 @@ from hoeffding import (
     canonical_degenerate_kernel,
     cond_expectation_overlap,
     cond_expectation_prefix,
-    degeneracy_residual,
     inner_product,
     lift_ustatistic,
     parse_statistic_spec,
@@ -24,6 +23,7 @@ from hoeffding import (
 )
 from hoeffding.rationals import format_rational
 from conftest import (
+    degeneracy_residual,
     dirac12,
     enum_cond_expectation_overlap,
     enum_cond_expectation_prefix,
@@ -289,16 +289,18 @@ class TestDegeneracyResidual:
     def test_canonical_kernel_is_degenerate(self, any_measure):
         for n in (1, 2, 3, 4):
             kernel = canonical_degenerate_kernel(any_measure, n)
-            assert degeneracy_residual(kernel, any_measure).is_zero()
+            residual = cond_expectation_prefix(kernel, any_measure, n - 1)
+            assert all(v == 0 for v in residual.values)
 
     def test_constant_kernel(self, any_measure):
         kernel = SymmetricFunction.constant(3, 1)
-        out = degeneracy_residual(kernel, any_measure)
+        out = cond_expectation_prefix(kernel, any_measure, 2)
         assert out == SymmetricFunction.constant(2, 1)
 
     def test_iid_worked_example(self):
         kernel = SymmetricFunction((F(1), F(-1), F(1)))
-        assert degeneracy_residual(kernel, dirac12()).is_zero()
+        residual = cond_expectation_prefix(kernel, dirac12(), 1)
+        assert all(v == 0 for v in residual.values)
 
     def test_matches_generic_conditional_path(self, any_measure):
         rng = random.Random(43)
@@ -312,9 +314,9 @@ class TestDegeneracyResidual:
         rng = random.Random(47)
         k1, k2 = random_function(3, rng), random_function(3, rng)
         c = F(-2, 5)
-        left = degeneracy_residual(k1 + k2.scale(c), any_measure)
-        right = degeneracy_residual(k1, any_measure) + degeneracy_residual(
-            k2, any_measure
+        left = cond_expectation_prefix(k1 + k2.scale(c), any_measure, 2)
+        right = cond_expectation_prefix(k1, any_measure, 2) + cond_expectation_prefix(
+            k2, any_measure, 2
         ).scale(c)
         assert left == right
 
