@@ -25,13 +25,20 @@ The two residual routes are tied by the exact identity
 
     weak(n,u,z) * C(n-1,z) * P_{n-1}(z zeros) = residual(n,u,z) * P_n(0 zeros)
 
-so they vanish simultaneously. A verdict of "decomposable up to n_max" is
-a bounded claim: the tests quantify over every n >= 2, and this module
-scans only n <= n_max.
+so they vanish simultaneously. Both residual routes run on the integer
+forms of the configuration rows (see :mod:`hoeffding.measures`): each
+residual is an integer dot product turned into one ``Fraction``. The first
+nonzero residual of a scan, the reported witness, is certified against its
+defining alternating sum of ``conditional_zero_count`` quotients, so the
+witness never rests on the integer path alone.
+
+A verdict of "decomposable up to n_max" is a bounded claim: the tests
+quantify over every n >= 2, and this module scans only n <= n_max.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -97,16 +104,16 @@ def canonical_degenerate_kernel(measure: DeFinettiMeasure, n: int) -> SymmetricF
 
         phi(k zeros) = (-1)^k P_n(0 zeros) / P_n(k zeros),
 
-    normalized so the all-ones value is 1.
+    normalized so the all-ones value is 1. The common denominator of the
+    row cancels, so each value is a quotient of two integer-row entries.
     """
     if n < 1:
         raise IndexRangeError("arity must be at least 1")
     measure.require_nondeterministic(n)
-    top = measure.config_probability(n, 0)
+    ints, _ = measure._int_row(n)
+    top = ints[0]
     return SymmetricFunction(
-        tuple(
-            (-1) ** k * top / measure.config_probability(n, k) for k in range(n + 1)
-        )
+        tuple(Fraction(top if k % 2 == 0 else -top, ints[k]) for k in range(n + 1))
     )
 
 
@@ -218,7 +225,14 @@ def decomposability_residual(
 
     Vanishing of this quantity for every n >= 2, u = 2..n, z = 0..n-1 is
     necessary and sufficient for Hoeffding decomposability; a nonzero value
-    is an explicit witness of non-decomposability.
+    is an explicit witness of non-decomposability. The sum is
+
+        sum_k (-1)^k C(n-u, k) sum_m (-1)^m C(u, m) P(m+z | m+k),
+
+    with P(b | a) = C(u-1, b-a) P_{n+u-1}(b zeros) / P_n(a zeros) the
+    conditional zero-count probability. It runs over the integer row of
+    order n+u-1 and the reciprocal row of order n, so it is one integer
+    over D_{n+u-1} L_n.
     """
     if n < 2:
         raise IndexRangeError("n must be at least 2")
@@ -227,6 +241,25 @@ def decomposability_residual(
     if not 0 <= z <= n - 1:
         raise IndexRangeError(f"need 0 <= z <= n-1, got z={z} n={n}")
     measure.require_nondeterministic(n + u - 1)
+    ints, common = measure._int_row(n + u - 1)
+    reciprocals, reciprocal_common = measure._reciprocal_row(n)
+    # every binomial below is in range, so math.comb needs no guard
+    signed = [math.comb(u, m) if m % 2 == 0 else -math.comb(u, m) for m in range(u + 1)]
+    total = 0
+    for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
+        inner = sum(
+            c * ints[m + z] * reciprocals[m + k] for m, c in enumerate(signed)
+        )
+        weight = math.comb(n - u, k) * math.comb(u - 1, z - k)
+        total += weight * inner if k % 2 == 0 else -weight * inner
+    return Fraction(total, common * reciprocal_common)
+
+
+def _alternating_residual(
+    measure: DeFinettiMeasure, n: int, u: int, z: int
+) -> Fraction:
+    """The residual at (n, u, z) by its defining alternating sum of
+    ``conditional_zero_count`` quotients, one ``Fraction`` per term."""
     total = Fraction(0)
     for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
         inner = sum(
@@ -277,9 +310,10 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
 def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> DecomposabilityReport:
     """Scan all triples up to n_max through both residual routes.
 
-    The two routes must agree on which triples vanish (an exact identity);
-    the verdict is bounded ("decomposable up to n_max"), never a claim for
-    all n.
+    The two routes must agree on which triples vanish (an exact identity),
+    and the witness residual must equal its defining alternating sum;
+    either failure raises ``InternalError``. The verdict is bounded
+    ("decomposable up to n_max"), never a claim for all n.
     """
     if n_max < 2:
         raise IndexRangeError("n_max must be at least 2")
@@ -299,6 +333,12 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
                         f"residual routes disagree at {triple}: {primary} vs {weak}"
                     )
                 if primary != 0 and witness is None:
+                    reference = _alternating_residual(measure, n, u, z)
+                    if primary != reference:
+                        raise InternalError(
+                            f"witness residual at {triple} is {primary}, "
+                            f"but its alternating sum is {reference}"
+                        )
                     witness = triple
     verdict = Verdict.NOT_DECOMPOSABLE if witness else Verdict.DECOMPOSABLE_UP_TO_N_MAX
     return DecomposabilityReport(

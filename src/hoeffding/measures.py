@@ -24,14 +24,29 @@ row ``P_n(0..n)`` at a time by the marginalisation identity
 (a length-(n-1) configuration extends by a one or a zero), one subtraction
 per entry. The identity ``P_{n-1}(j) = P_n(j) + P_n(j+1)`` also means a
 positive row n makes every lower row positive, so non-determinism up to
-order n is a test of row n alone. Rows are cached per instance; a row is
-a pure function of the moments, so concurrent fills store equal values and
-instances are safe to share across threads.
+order n is a test of row n alone, and once row n has passed every order up
+to n is answered without a scan.
+
+Each row is also cached in two integer forms, read from
+:meth:`~DeFinettiMeasure.config_probability` so that they keep its index
+and order checks:
+
+* the integer row ``(ints, D_n)``: ``D_n`` is the lcm of the row's
+  denominators and ``ints[j] = P_n(j) * D_n``;
+* the reciprocal row ``(r, L_n)``: ``L_n`` is the lcm of the row's
+  numerators and ``r[i] / L_n = 1 / P_n(i)``.
+
+Sums over configuration probabilities then run as integer dot products
+with one ``Fraction`` per result. Every cache is a pure function of the
+moments, so concurrent fills store equal values (the non-determinism
+order stores only orders that were verified), and instances are safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -74,6 +89,10 @@ class DeFinettiMeasure:
     moment_values: Optional[tuple[Fraction, ...]] = None
     _moments: dict = field(default_factory=dict, compare=False, repr=False)
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
+    _int_rows: dict = field(default_factory=dict, compare=False, repr=False)
+    _reciprocal_rows: dict = field(default_factory=dict, compare=False, repr=False)
+    # highest order whose row was found all positive (-1: none yet)
+    _positive_order: list = field(default_factory=lambda: [-1], compare=False, repr=False)
 
     # -- factories -------------------------------------------------------
 
@@ -204,6 +223,33 @@ class DeFinettiMeasure:
             row = self._rows.setdefault(m, tuple(current))
         return row
 
+    def _int_row(self, n: int) -> tuple[tuple[int, ...], int]:
+        """``(ints, D_n)`` with ``ints[j] / D_n == P_n(j)`` and ``D_n`` the lcm
+        of the row's denominators."""
+        cached = self._int_rows.get(n)
+        if cached is not None:
+            return cached
+        row = [self.config_probability(n, j) for j in range(n + 1)]
+        common = math.lcm(*(p.denominator for p in row))
+        ints = tuple(p.numerator * (common // p.denominator) for p in row)
+        return self._int_rows.setdefault(n, (ints, common))
+
+    def _reciprocal_row(self, n: int) -> tuple[tuple[int, ...], int]:
+        """``(r, L_n)`` with ``r[i] / L_n == 1 / P_n(i)`` and ``L_n`` the lcm of
+        the row's numerators."""
+        cached = self._reciprocal_rows.get(n)
+        if cached is not None:
+            return cached
+        row = [self.config_probability(n, i) for i in range(n + 1)]
+        for i, p in enumerate(row):
+            if p == 0:
+                raise DeterministicMeasureError(
+                    f"conditioning event has probability zero (n={n}, zeros={i})"
+                )
+        common = math.lcm(*(p.numerator for p in row))
+        r = tuple(p.denominator * (common // p.numerator) for p in row)
+        return self._reciprocal_rows.setdefault(n, (r, common))
+
     # -- conditional and predictive probabilities ------------------------
 
     def conditional_zero_count(self, n: int, v: int, a: int, b: int) -> Fraction:
@@ -235,12 +281,22 @@ class DeFinettiMeasure:
 
         Equivalent to the mixing law's support not being contained in {0, 1},
         once n_max >= 2. Row n_max alone decides it: each lower entry is the
-        sum of two entries of the row above.
+        sum of two entries of the row above. So the highest order found
+        positive is remembered, and every order up to it answers at once.
         """
         if n_max < 0:
             raise IndexRangeError("n_max must be non-negative")
         self._require_order(n_max)
-        return all(value > 0 for value in self._row(n_max))
+        verified = self._positive_order
+        if n_max <= verified[0]:
+            return True
+        if not all(value > 0 for value in self._row(n_max)):
+            return False
+        # a racing store may leave a lower verified order in place, which
+        # costs a later rescan and never a wrong answer
+        if n_max > verified[0]:
+            verified[0] = n_max
+        return True
 
     def require_nondeterministic(self, n_max: int) -> None:
         if not self.is_nondeterministic(n_max):

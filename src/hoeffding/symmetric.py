@@ -9,12 +9,16 @@ grid of their two blocks.
 
 Operations: U-statistic lifting, the L2 inner product of an exchangeable
 law, nested and partial-overlap conditional expectations, and canonical
-symmetrization. All are linear in their function argument and exact.
+symmetrization. All are linear in their function argument and exact. The
+partial-overlap conditional expectation and symmetrization put their
+operands on a common denominator and sum integers, building one
+``Fraction`` per output entry.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +30,10 @@ from .errors import (
 )
 from .measures import DeFinettiMeasure
 from .rationals import binom, parse_rational
+
+
+def _as_fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -40,7 +48,7 @@ class SymmetricFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_as_fraction, self.values)))
         if not self.values:
             raise IndexRangeError("a symmetric function needs at least one value")
 
@@ -85,7 +93,7 @@ class BiSymmetricFunction:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in self.values)
+        grid = tuple(tuple(map(_as_fraction, row)) for row in self.values)
         object.__setattr__(self, "values", grid)
         if not grid or any(len(row) != len(grid[0]) for row in grid):
             raise IndexRangeError("bi-symmetric grid must be rectangular and non-empty")
@@ -185,35 +193,47 @@ def cond_expectation_overlap(
     unobserved arguments of T contribute m further zeros with the usual
     hypergeometric-style weight. Result: a block-symmetric function with
     blocks of sizes v = n-u and w = u-1.
+
+    With the statistic on its common denominator S and the integer rows
+    ``(ints, D)`` of order n-1+u and ``(given, G)`` of order n-1, the cell
+    (k, l) is
+
+        G * sum_m C(u, m) t[k+m] ints[k+l+m] / (S * D * given[k+l]).
     """
     n = statistic.n
     if not 2 <= u <= n:
         raise IndexRangeError(f"need 2 <= u <= n, got u={u} n={n}")
     v, w = n - u, u - 1
+    given, given_common = measure._int_row(n - 1)
+    # the first cell divides by P_{n-1}(0) before it reads order n-1+u
+    _require_positive(given, n - 1, 0)
+    ints, common = measure._int_row(n - 1 + u)
+    scale, t = _common_numerators(statistic.values)
+    weights = [math.comb(u, m) for m in range(u + 1)]
     rows = []
     for k in range(v + 1):
         row = []
         for l in range(w + 1):
             z = k + l
-            denominator = measure.config_probability(n - 1, z)
-            if denominator == 0:
-                raise DeterministicMeasureError(
-                    f"conditioning event has probability zero (n={n - 1}, zeros={z})"
-                )
-            row.append(
-                sum(
-                    (
-                        binom(u, m)
-                        * statistic[k + m]
-                        * measure.config_probability(n - 1 + u, z + m)
-                        for m in range(u + 1)
-                    ),
-                    Fraction(0),
-                )
-                / denominator
-            )
+            _require_positive(given, n - 1, z)
+            total = sum(c * t[k + m] * ints[z + m] for m, c in enumerate(weights))
+            row.append(Fraction(total * given_common, scale * common * given[z]))
         rows.append(tuple(row))
     return BiSymmetricFunction(tuple(rows))
+
+
+def _common_numerators(values) -> tuple[int, tuple[int, ...]]:
+    """``(S, t)`` with ``t[i] / S == values[i]`` and S the lcm of the
+    denominators."""
+    common = math.lcm(*(x.denominator for x in values))
+    return common, tuple(x.numerator * (common // x.denominator) for x in values)
+
+
+def _require_positive(ints, n: int, zeros: int) -> None:
+    if ints[zeros] == 0:
+        raise DeterministicMeasureError(
+            f"conditioning event has probability zero (n={n}, zeros={zeros})"
+        )
 
 
 def symmetrize(f: BiSymmetricFunction) -> SymmetricFunction:
@@ -221,19 +241,19 @@ def symmetrize(f: BiSymmetricFunction) -> SymmetricFunction:
 
     The value on z total zeros is the C(v,k) C(w,z-k)-weighted average of
     the grid along the diagonal k + l = z; the weights sum to C(v+w, z).
+    Each diagonal is summed on its common denominator.
     """
     v, w = f.v, f.w
     m = v + w
+    grid = f.values
     values = []
     for z in range(m + 1):
+        ks = range(max(0, z - w), min(z, v) + 1)
+        common, t = _common_numerators([grid[k][z - k] for k in ks])
         numerator = sum(
-            (
-                binom(v, k) * binom(w, z - k) * f[k, z - k]
-                for k in range(max(0, z - w), min(z, v) + 1)
-            ),
-            Fraction(0),
+            math.comb(v, k) * math.comb(w, z - k) * x for k, x in zip(ks, t)
         )
-        values.append(numerator / binom(m, z))
+        values.append(Fraction(numerator, common * math.comb(m, z)))
     return SymmetricFunction(tuple(values))
 
 

@@ -1,7 +1,8 @@
-"""Shared test measures, configuration-probability oracles, brute-force
-enumeration oracles, the Gram oracle, the per-bit sampling oracle, and the
-scaffolding only tests use: the two-term degeneracy residual, the
-affine-predictive helpers and the moment-region sampler.
+"""Shared test measures, configuration-probability oracles, the
+``Fraction`` residual-route oracles, brute-force enumeration oracles, the
+Gram oracle, the per-bit sampling oracle, and the scaffolding only tests
+use: the two-term degeneracy residual, the affine-predictive helpers and
+the moment-region sampler.
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
@@ -141,6 +142,96 @@ def first_negative_configuration(moments):
             if alternating_sum_config_probability(moments, n, j) < 0:
                 return (n, j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# residual-route oracles: one Fraction operation per term, read through the
+# public configuration-probability and conditional-probability methods
+# ---------------------------------------------------------------------------
+
+
+def fraction_decomposability_residual(measure, n, u, z) -> Fraction:
+    """The residual at (n, u, z) as its alternating sum of conditional
+    zero-count probabilities."""
+    measure.require_nondeterministic(n + u - 1)
+    total = F(0)
+    for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
+        inner = sum(
+            (
+                (-1) ** m * comb(u, m) * measure.conditional_zero_count(n, u - 1, m + k, m + z)
+                for m in range(u + 1)
+            ),
+            F(0),
+        )
+        total += (-1) ** k * comb(n - u, k) * inner
+    return total
+
+
+def fraction_cond_expectation_overlap(statistic, measure, u):
+    """E[T(X_1..X_n) | X_{u+1}..X_{u+n-1}] on the (n-u+1) x u zero-count grid."""
+    n = statistic.n
+    v, w = n - u, u - 1
+    grid = []
+    for k in range(v + 1):
+        row = []
+        for l in range(w + 1):
+            z = k + l
+            denominator = measure.config_probability(n - 1, z)
+            if denominator == 0:
+                raise DeterministicMeasureError(
+                    f"conditioning event has probability zero (n={n - 1}, zeros={z})"
+                )
+            row.append(
+                sum(
+                    (
+                        comb(u, m) * statistic[k + m] * measure.config_probability(n - 1 + u, z + m)
+                        for m in range(u + 1)
+                    ),
+                    F(0),
+                )
+                / denominator
+            )
+        grid.append(row)
+    return grid
+
+
+def fraction_symmetrize(grid):
+    """Weighted diagonal averages of a (v+1) x (w+1) grid, term by term."""
+    v, w = len(grid) - 1, len(grid[0]) - 1
+    return [
+        sum(
+            (
+                comb(v, k) * comb(w, z - k) * grid[k][z - k]
+                for k in range(max(0, z - w), min(z, v) + 1)
+            ),
+            F(0),
+        )
+        / comb(v + w, z)
+        for z in range(v + w + 1)
+    ]
+
+
+def fraction_canonical_kernel(measure, n):
+    top = measure.config_probability(n, 0)
+    return SymmetricFunction(
+        tuple((-1) ** k * top / measure.config_probability(n, k) for k in range(n + 1))
+    )
+
+
+def fraction_check_decomposable(measure, n_max):
+    """(residuals, cross residuals, witness) of the scan up to n_max, every
+    residual by the two Fraction oracles."""
+    residuals, cross, witness = {}, {}, None
+    for n in range(2, n_max + 1):
+        kernel = fraction_canonical_kernel(measure, n)
+        for u in range(2, n + 1):
+            row = fraction_symmetrize(fraction_cond_expectation_overlap(kernel, measure, u))
+            for z in range(n):
+                residuals[(n, u, z)] = fraction_decomposability_residual(measure, n, u, z)
+                cross[(n, u, z)] = row[z]
+                if residuals[(n, u, z)] != 0 and witness is None:
+                    witness = (n, u, z)
+    return residuals, cross, witness
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,18 @@ from conftest import (
 F = Fraction
 
 
+def run_optimized(script):
+    """Run a Python script under ``python -O`` against this source tree."""
+    import hoeffding
+
+    source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+
+
 def random_function(n, rng):
     return SymmetricFunction(
         tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1))
@@ -433,13 +445,37 @@ class TestCheckDecomposable:
             sys.exit("no InternalError raised")
             """
         )
-        import hoeffding
-
-        source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-        )
+        result = run_optimized(script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("residual routes disagree at (3, 2, 0)")
+
+    def test_witness_certificate_raises_under_optimize(self):
+        # shifting every nonzero residual by one keeps the routes vanishing
+        # together, so only the witness certificate (the alternating sum of
+        # conditional zero-count probabilities) can catch it, under python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from hoeffding import DeFinettiMeasure, InternalError, check_decomposable, engine
+            if __debug__:
+                sys.exit("not running under -O")
+            integer_residual = engine.decomposability_residual
+
+            def off_by_one(measure, n, u, z):
+                value = integer_residual(measure, n, u, z)
+                return value + 1 if value else value
+
+            engine.decomposability_residual = off_by_one
+            twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+            try:
+                check_decomposable(twopoint, 4)
+            except InternalError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("no InternalError raised")
+            """
+        )
+        result = run_optimized(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("witness residual at (3, 2, 0)")
