@@ -44,7 +44,7 @@ from .montecarlo import (
     urn_histogram,
 )
 from .rationals import binom, format_rational, parse_rational
-from .symmetric import SymmetricFunction, inner_product, parse_statistic_spec
+from .symmetric import SymmetricFunction, pairwise_inner_products, parse_statistic_spec
 
 
 # Largest accepted --max-n and --n. A Beta law's `check --max-n 32 --method
@@ -310,12 +310,11 @@ def _render_decomposition(
         values = "\t".join(format_rational(v) for v in comp.values)
         lines.append(f"component\t{k}\t{values}")
     if measure is not None:
-        for i in range(len(report.components)):
-            for j in range(i + 1, len(report.components)):
-                product = inner_product(
-                    report.components[i], report.components[j], measure
-                )
-                lines.append(f"orthogonality\t{i}:{j}\t{format_rational(product)}")
+        products = pairwise_inner_products(report.components, measure)
+        lines.extend(
+            f"orthogonality\t{i}:{j}\t{format_rational(product)}"
+            for (i, j), product in products.items()
+        )
     return "\n".join(lines) + "\n"
 
 

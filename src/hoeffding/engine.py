@@ -6,9 +6,10 @@ layer is the part of the span of order-k U-statistics orthogonal to all
 lower orders (the ANOVA decomposition). In zero-count coordinates the
 order-k U-statistics are the polynomials of degree <= k in z, so this module
 computes the layers from the orthogonal polynomials of the weight
-C(n,z) P_n(z) (a three-term recurrence, see :mod:`hoeffding.linalg`), and
-runs three equivalent tests of whether the decomposition is realized by
-completely degenerate kernels:
+C(n,z) P_n(z) (a fraction-free three-term recurrence on the integer
+configuration row, see :mod:`hoeffding.linalg`), and runs three equivalent
+tests of whether the decomposition is realized by completely degenerate
+kernels:
 
 * the alternating-sum residual over conditional zero-count probabilities
   (``decomposability_residual``), which must vanish for every triple
@@ -50,6 +51,8 @@ from .measures import DeFinettiMeasure
 from .rationals import binom
 from .symmetric import (
     SymmetricFunction,
+    _common_numerators,
+    _zero_count_weights,
     cond_expectation_overlap,
     cond_expectation_prefix,
     inner_product,
@@ -153,14 +156,27 @@ def hoeffding_decomposition(
     the weight C(n,z) P_n(z) on z = 0..n, and component k is
     <T, q_k> / <q_k, q_k> q_k. Component 0 is the mean. The components are
     pairwise orthogonal and sum back to the statistic.
+
+    The polynomials come from the Stieltjes procedure (Gautschi 2004) run
+    fraction-free in the manner of Bareiss (1968), see
+    :mod:`hoeffding.linalg`: primitive integer vectors Q_k orthogonal under
+    the integer weights W_z = C(n,z) P_n(z) D_n of the integer row.
+    With the statistic on its common denominator S, the entry of component
+    k at z is the single ``Fraction`` <t, Q_k>_W Q_k(z) / (S <Q_k, Q_k>_W).
     """
     n = statistic.n
     measure.require_nondeterministic(n)
-    weights = [binom(n, z) * measure.config_probability(n, z) for z in range(n + 1)]
+    # the row's common denominator D_n cancels from every projection
+    weights, _ = _zero_count_weights(measure, n)
+    scale, t = _common_numerators(statistic.values)
+    weighted = [w * x for w, x in zip(weights, t)]
     components = []
-    for values, norm in linalg.orthogonal_polynomials(weights):
-        q = SymmetricFunction(values)
-        components.append(q.scale(inner_product(statistic, q, measure) / norm))
+    for q, norm in linalg.orthogonal_polynomials(weights):
+        projection = sum(map(int.__mul__, weighted, q))
+        denominator = scale * norm
+        components.append(
+            SymmetricFunction(tuple(Fraction(projection * x, denominator) for x in q))
+        )
     return HoeffdingDecomposition(
         n=n,
         measure_digest=measure.describe(),

@@ -6,7 +6,8 @@ of i.i.d. Bernoulli sequences; the mixing law on [0,1] determines everything.
 
 ``BETA``
     Beta(alpha, beta) with positive rational parameters; moments come from
-    the rational product ``mu_n = prod_{i<n} (alpha+i)/(alpha+beta+i)``.
+    the rational product ``mu_n = prod_{i<n} (alpha+i)/(alpha+beta+i)``,
+    one factor per order on top of the cached ``mu_{n-1}``.
 ``DISCRETE``
     A finite mixture of point masses at rational locations in [0,1];
     a single atom gives an i.i.d. sequence.
@@ -189,15 +190,26 @@ class DeFinettiMeasure:
         if cached is not None:
             return cached
         if self.kind is MeasureKind.BETA:
-            value = Fraction(1)
-            a, b = self.beta_alpha, self.beta_beta
-            for i in range(n):
-                value *= (a + i) / (a + b + i)
-        elif self.kind is MeasureKind.DISCRETE:
+            return self._beta_moment(n)
+        if self.kind is MeasureKind.DISCRETE:
             value = sum((w * loc**n for loc, w in self.atoms), Fraction(0))
         else:
             value = self.moment_values[n]
         self._moments[n] = value
+        return value
+
+    def _beta_moment(self, n: int) -> Fraction:
+        """mu_n = mu_{n-1} (alpha+n-1)/(alpha+beta+n-1), extending the cached
+        moments up to order n: one multiplication per new order."""
+        start = n
+        while start > 0 and start - 1 not in self._moments:
+            start -= 1
+        value = self._moments[start - 1] if start else Fraction(1)
+        a, b = self.beta_alpha, self.beta_beta
+        for m in range(start, n + 1):
+            if m:
+                value = value * (a + m - 1) / (a + b + m - 1)
+            value = self._moments.setdefault(m, value)
         return value
 
     def config_probability(self, n: int, zeros: int) -> Fraction:

@@ -24,17 +24,50 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _integer(m.group(1))
+    den = _integer(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     value = Fraction(value)
+    numerator = _decimal(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return numerator
+    return f"{numerator}/{_decimal(value.denominator)}"
+
+
+# CPython refuses int-to-text conversions longer than
+# sys.get_int_max_str_digits() digits (4300 by default) with ValueError.
+# Exact layers grow past that (a 3-atom law's components at arity 30), so
+# longer numbers are converted half by half, each half under the limit.
+
+
+def _decimal(value: int) -> str:
+    """Decimal text of an int of any length."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    # about half of the digits: log10(2) > 3/20
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _integer(digits: str) -> int:
+    """The int of an optionally signed decimal text of any length."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    if digits.startswith("-"):
+        return -_integer(digits[1:])
+    half = len(digits) // 2
+    return _integer(digits[:half]) * 10 ** (len(digits) - half) + _integer(digits[half:])
 
 
 def binom(n: int, k: int) -> int:

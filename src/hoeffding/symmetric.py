@@ -9,10 +9,14 @@ grid of their two blocks.
 
 Operations: U-statistic lifting, the L2 inner product of an exchangeable
 law, nested and partial-overlap conditional expectations, and canonical
-symmetrization. All are linear in their function argument and exact. The
-partial-overlap conditional expectation and symmetrization put their
-operands on a common denominator and sum integers, building one
-``Fraction`` per output entry.
+symmetrization. All are linear in their function argument and exact. Each
+puts its function operands on their common denominators and the law on the
+integer configuration rows of :mod:`hoeffding.measures`, sums integers,
+and builds one ``Fraction`` per output entry: no gcd per term. The
+Hoeffding layers of :mod:`hoeffding.engine` use the same integer
+zero-count weights as :func:`inner_product`, in the Stieltjes recurrence
+(Gautschi 2004) that :mod:`hoeffding.linalg` runs fraction-free after
+Bareiss (1968).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     ParseError,
 )
 from .measures import DeFinettiMeasure
-from .rationals import binom, parse_rational
+from .rationals import parse_rational
 
 
 def _as_fraction(value) -> Fraction:
@@ -116,16 +120,21 @@ def lift_ustatistic(kernel: SymmetricFunction, n: int) -> SymmetricFunction:
 
     On a configuration with z zeros there are C(z,j) * C(n-z, k-j) subsets
     containing exactly j zeros, so the lift collapses to a Vandermonde-
-    weighted sum; linear in the kernel.
+    weighted sum; linear in the kernel. With the kernel on its common
+    denominator S, each value is one integer sum over S.
     """
     k = kernel.n
     if not 0 <= k <= n:
         raise IndexRangeError(f"kernel arity {k} must lie in 0..{n}")
+    scale, t = _common_numerators(kernel.values)
     return SymmetricFunction(
         tuple(
-            sum(
-                (binom(z, j) * binom(n - z, k - j) * kernel[j] for j in range(k + 1)),
-                Fraction(0),
+            Fraction(
+                sum(
+                    math.comb(z, j) * math.comb(n - z, k - j) * t[j]
+                    for j in range(max(0, k - (n - z)), min(z, k) + 1)
+                ),
+                scale,
             )
             for z in range(n + 1)
         )
@@ -135,17 +144,48 @@ def lift_ustatistic(kernel: SymmetricFunction, n: int) -> SymmetricFunction:
 def inner_product(
     t1: SymmetricFunction, t2: SymmetricFunction, measure: DeFinettiMeasure
 ) -> Fraction:
-    """E[T1 T2] under the exchangeable law with the given mixing measure."""
+    """E[T1 T2] under the exchangeable law with the given mixing measure.
+
+    One integer sum over the zero-count weights and the two functions'
+    common numerators, and one ``Fraction``.
+    """
     if t1.n != t2.n:
         raise ArityMismatchError(f"arity mismatch: {t1.n} vs {t2.n}")
-    n = t1.n
-    return sum(
-        (
-            binom(n, z) * measure.config_probability(n, z) * t1[z] * t2[z]
-            for z in range(n + 1)
-        ),
-        Fraction(0),
-    )
+    weights, common = _zero_count_weights(measure, t1.n)
+    scale1, a = _common_numerators(t1.values)
+    scale2, b = _common_numerators(t2.values)
+    total = sum(w * x * y for w, x, y in zip(weights, a, b))
+    return Fraction(total, common * scale1 * scale2)
+
+
+def pairwise_inner_products(
+    functions, measure: DeFinettiMeasure
+) -> dict[tuple[int, int], Fraction]:
+    """``inner_product(functions[i], functions[j], measure)`` for every pair
+    i < j of functions of one arity, each function put on its common
+    denominator once."""
+    arities = sorted({f.n for f in functions})
+    if len(arities) > 1:
+        raise ArityMismatchError(f"arity mismatch: {arities}")
+    if len(functions) < 2:
+        return {}
+    weights, common = _zero_count_weights(measure, arities[0])
+    numerators = [_common_numerators(f.values) for f in functions]
+    out = {}
+    for i, (scale1, a) in enumerate(numerators):
+        weighted = [w * x for w, x in zip(weights, a)]
+        for j in range(i + 1, len(numerators)):
+            scale2, b = numerators[j]
+            total = sum(map(int.__mul__, weighted, b))
+            out[(i, j)] = Fraction(total, common * scale1 * scale2)
+    return out
+
+
+def _zero_count_weights(measure: DeFinettiMeasure, n: int) -> tuple[list[int], int]:
+    """``(W, D_n)`` with ``W[z] / D_n == C(n, z) P_n(z)``, the law of the zero
+    count of n observations on the integer row of order n."""
+    ints, common = measure._int_row(n)
+    return [math.comb(n, z) * p for z, p in enumerate(ints)], common
 
 
 def cond_expectation_prefix(
@@ -157,29 +197,26 @@ def cond_expectation_prefix(
     n - a carry m extra zeros with probability
     C(n-a, m) P_n(j+m zeros) / P_a(j zeros). At a = n - 1 this is the
     one-step degeneracy residual, zero exactly for degenerate kernels.
+
+    With the statistic on its common denominator S and the integer rows
+    ``(ints, D)`` of order n and ``(given, G)`` of order a, value j is
+
+        G * sum_m C(n-a, m) t[j+m] ints[j+m] / (S * D * given[j]).
     """
     n = statistic.n
     if not 0 <= a <= n:
         raise IndexRangeError(f"need 0 <= a <= n, got a={a} n={n}")
+    given, given_common = measure._int_row(a)
+    # the first value divides by P_a(0) before it reads order n
+    _require_positive(given, a, 0)
+    ints, common = measure._int_row(n)
+    scale, t = _common_numerators(statistic.values)
+    weights = [math.comb(n - a, m) for m in range(n - a + 1)]
     values = []
     for j in range(a + 1):
-        denominator = measure.config_probability(a, j)
-        if denominator == 0:
-            raise DeterministicMeasureError(
-                f"conditioning event has probability zero (n={a}, zeros={j})"
-            )
-        values.append(
-            sum(
-                (
-                    binom(n - a, m)
-                    * statistic[j + m]
-                    * measure.config_probability(n, j + m)
-                    for m in range(n - a + 1)
-                ),
-                Fraction(0),
-            )
-            / denominator
-        )
+        _require_positive(given, a, j)
+        total = sum(c * t[j + m] * ints[j + m] for m, c in enumerate(weights))
+        values.append(Fraction(total * given_common, scale * common * given[j]))
     return SymmetricFunction(tuple(values))
 
 

@@ -1,8 +1,10 @@
 """Shared test measures, configuration-probability oracles, the
 ``Fraction`` residual-route oracles, brute-force enumeration oracles, the
-Gram oracle, the per-bit sampling oracle, and the scaffolding only tests
-use: the two-term degeneracy residual, the affine-predictive helpers and
-the moment-region sampler.
+Gram oracle, the ``Fraction`` layer-path oracles (the Stieltjes recurrence,
+the inner product, the lift and the prefix conditional expectation), the
+per-bit sampling oracle, and the scaffolding only tests use: the two-term
+degeneracy residual, the affine-predictive helpers and the moment-region
+sampler.
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
@@ -22,6 +24,7 @@ from math import comb
 import pytest
 
 from hoeffding import (
+    ArityMismatchError,
     DeFinettiMeasure,
     DeterministicMeasureError,
     IndexRangeError,
@@ -451,6 +454,92 @@ def gram_decomposition(statistic, measure):
         components.append(current - previous)
         previous = current
     return components
+
+
+# ---------------------------------------------------------------------------
+# layer-path oracles: the Stieltjes recurrence, the inner product, the lift
+# and the prefix conditional expectation, one Fraction operation per term
+# ---------------------------------------------------------------------------
+
+
+def fraction_orthogonal_polynomials(weights):
+    """(values on the nodes, squared norm) of the monic orthogonal
+    polynomials q_0..q_n of positive rational weights on the nodes 0..n."""
+    size = len(weights)
+    previous = [F(0)] * size
+    current = [F(1)] * size
+    previous_norm = F(1)
+    out = []
+    for k in range(size):
+        squares = [w * q * q for w, q in zip(weights, current)]
+        norm = sum(squares, F(0))
+        out.append((tuple(current), norm))
+        if k + 1 == size:
+            break
+        a = sum((z * s for z, s in enumerate(squares)), F(0)) / norm
+        b = norm / previous_norm
+        current, previous = [
+            (z - a) * q - b * p for z, (q, p) in enumerate(zip(current, previous))
+        ], current
+        previous_norm = norm
+    return out
+
+
+def fraction_inner_product(t1, t2, measure):
+    if t1.n != t2.n:
+        raise ArityMismatchError(f"arity mismatch: {t1.n} vs {t2.n}")
+    return gram_inner_product(measure, t1.values, t2.values)
+
+
+def fraction_hoeffding_layers(statistic, measure):
+    """Component k is <T, q_k> / <q_k, q_k> q_k for the monic q_k."""
+    n = statistic.n
+    measure.require_nondeterministic(n)
+    weights = [comb(n, z) * measure.config_probability(n, z) for z in range(n + 1)]
+    components = []
+    for values, norm in fraction_orthogonal_polynomials(weights):
+        q = SymmetricFunction(values)
+        components.append(q.scale(fraction_inner_product(statistic, q, measure) / norm))
+    return components
+
+
+def fraction_lift_ustatistic(kernel, n):
+    k = kernel.n
+    if not 0 <= k <= n:
+        raise IndexRangeError(f"kernel arity {k} must lie in 0..{n}")
+    return SymmetricFunction(
+        tuple(
+            sum(
+                (comb(z, j) * comb(n - z, k - j) * kernel[j] for j in range(k + 1)),
+                F(0),
+            )
+            for z in range(n + 1)
+        )
+    )
+
+
+def fraction_cond_expectation_prefix(statistic, measure, a):
+    n = statistic.n
+    if not 0 <= a <= n:
+        raise IndexRangeError(f"need 0 <= a <= n, got a={a} n={n}")
+    values = []
+    for j in range(a + 1):
+        denominator = measure.config_probability(a, j)
+        if denominator == 0:
+            raise DeterministicMeasureError(
+                f"conditioning event has probability zero (n={a}, zeros={j})"
+            )
+        values.append(
+            sum(
+                (
+                    comb(n - a, m) * statistic[j + m] * measure.config_probability(n, j + m)
+                    for m in range(n - a + 1)
+                ),
+                F(0),
+            )
+            / denominator
+        )
+    return SymmetricFunction(tuple(values))
 
 
 def published_polya_coefficients(alpha, beta):

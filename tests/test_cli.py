@@ -22,6 +22,7 @@ from hoeffding import (
 )
 from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, parse_report, render_report
 from hoeffding.measures import MAX_MOMENT_ORDER
+from hoeffding.rationals import format_rational, parse_rational
 from conftest import twopoint, unif_half
 
 F = Fraction
@@ -452,6 +453,66 @@ class TestSizeBounds:
         else:
             assert code == 2 and out == ""
             assert f"--statistic arity must be at most {MAX_ORDER}" in err
+
+
+THREE_ATOM = '{"type": "discrete", "atoms": [["2/7", "1/3"], ["5/11", "1/3"], ["9/10", "1/3"]]}'
+
+
+class TestLongNumbers:
+    """Rationals longer than the 4300 digits CPython converts between int
+    and text at once by default."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    @pytest.mark.parametrize("digits", [4299, 4300, 4301, 9000, 20001])
+    def test_format_and_parse_round_trip(self, limit, digits):
+        sys.set_int_max_str_digits(limit)
+        big = 10 ** (digits - 1) + 7 * 10 ** (digits // 2) + 3
+        for value in (F(big), F(-big), F(big, big // 7 + 1), F(-1, big)):
+            text = format_rational(value)
+            sys.set_int_max_str_digits(0)
+            expected = str(value)
+            sys.set_int_max_str_digits(limit)
+            assert text == expected
+            assert parse_rational(text) == value
+
+    def test_project_prints_and_reads_back_long_components(self, tmp_path):
+        # arity 30 is the smallest at which the layers of this statistic
+        # under the 3-atom law have a term of more than 4300 digits
+        arity = 30
+        values = [str(z % 3) for z in range(arity + 1)]
+        measure_path = tmp_path / "measure.json"
+        measure_path.write_text(THREE_ATOM, encoding="utf-8")
+        statistic_path = tmp_path / "statistic.json"
+        statistic_path.write_text(json.dumps({"n": arity, "values": values}), encoding="utf-8")
+        expected = hoeffding_decomposition(
+            SymmetricFunction(tuple(F(v) for v in values)),
+            DeFinettiMeasure.discrete([(F(2, 7), F(1, 3)), (F(5, 11), F(1, 3)), (F(9, 10), F(1, 3))]),
+        )
+        terms = [x for c in expected.components for v in c.values for x in (v.numerator, v.denominator)]
+        assert max(abs(x) for x in terms) >= 10**4300
+        argv = ["project", "--measure", str(measure_path), "--statistic", str(statistic_path)]
+
+        code, out, err = dispatch(argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert parse_report(out) == expected
+
+        code, out, err = dispatch(argv)
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.splitlines()]
+        components = [[parse_rational(v) for v in row[2:]] for row in rows if row[0] == "component"]
+        assert components == [list(c.values) for c in expected.components]
+        footer = [row for row in rows if row[0] == "orthogonality"]
+        assert len(footer) == arity * (arity + 1) // 2
+        assert all(row[2] == "0" for row in footer)
 
 
 class TestHelp:

@@ -36,6 +36,7 @@ from hoeffding import (
     lift_ustatistic,
     polya_projection_coefficients,
 )
+from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
     beta11,
@@ -229,6 +230,21 @@ class TestClosedFormLayers:
             DeFinettiMeasure.beta(alpha, beta),
             lambda n, k, z: hypergeometric((-k, k + alpha + beta - 1, -z), (beta, -n), 1),
         )
+
+    def test_integer_polynomials_under_uniform_weights(self):
+        # Beta(1, 1) makes the zero count uniform; the primitive integer
+        # polynomials of uniform weights on 0..6 are the tabulated values of
+        # the orthogonal polynomials for seven equally spaced points
+        # (Fisher & Yates, Statistical Tables)
+        assert [q for q, _ in orthogonal_polynomials([1] * 7)] == [
+            (1, 1, 1, 1, 1, 1, 1),
+            (-3, -2, -1, 0, 1, 2, 3),
+            (5, 0, -3, -4, -3, 0, 5),
+            (-1, 1, 1, 0, -1, -1, 1),
+            (3, -7, 1, 6, 1, -7, 3),
+            (-1, 4, -5, 0, 5, -4, 1),
+            (1, -6, 15, -20, 15, -6, 1),
+        ]
 
 
 class TestIidProjection:

@@ -46,12 +46,16 @@ from hoeffding import (
     compare_exact_empirical,
     cond_expectation_overlap,
     decomposability_residual,
+    cond_expectation_prefix,
     hoeffding_decomposition,
     iid_projection,
+    inner_product,
     level_subspace_check,
+    lift_ustatistic,
     symmetrize,
     urn_histogram,
 )
+from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
     alternating_sum_config_probability,
@@ -64,7 +68,12 @@ from conftest import (
     first_negative_configuration,
     fraction_check_decomposable,
     fraction_cond_expectation_overlap,
+    fraction_cond_expectation_prefix,
     fraction_decomposability_residual,
+    fraction_hoeffding_layers,
+    fraction_inner_product,
+    fraction_lift_ustatistic,
+    fraction_orthogonal_polynomials,
     fraction_symmetrize,
     gram_decomposition,
     nondeterminism_scan,
@@ -416,6 +425,96 @@ def test_overlap_reports_zero_conditioning_before_truncation():
         cond_expectation_overlap(statistic, measure, 2)
     with pytest.raises(DeterministicMeasureError):
         fraction_cond_expectation_overlap(statistic, measure, 2)
+
+
+@st.composite
+def layer_cases(draw):
+    """A Beta, discrete (endpoint atoms allowed) or moment-sequence law and
+    a statistic of arity <= 16. A moment-sequence law is truncated within
+    two orders of the arity, on either side of it."""
+    law = draw(closed_form_laws)
+    statistic = draw(statistics(16, min_n=0))
+    if draw(st.booleans()):
+        order = max(0, statistic.n + draw(st.integers(-2, 2)))
+        law = DeFinettiMeasure.from_moments([law.moment(k) for k in range(order + 1)])
+    return law, statistic
+
+
+@SETTINGS
+@given(case=layer_cases())
+def test_layers_equal_fraction_recurrence_and_gram_oracle(case):
+    measure, statistic = case
+    layers = outcome(hoeffding_decomposition, statistic, measure)
+    expected = outcome(fraction_hoeffding_layers, statistic, measure)
+    assert (layers if isinstance(layers, type) else list(layers.components)) == expected
+    if statistic.n <= 8 and not isinstance(expected, type):
+        assert expected == gram_decomposition(statistic, measure)
+
+
+@SETTINGS
+@given(measure=closed_form_laws, n=st.integers(0, 16))
+def test_integer_polynomials_are_primitive_multiples_of_monic_ones(measure, n):
+    assume(measure.is_nondeterministic(n))
+    ints, common = measure._int_row(n)
+    weights = [math.comb(n, z) * p for z, p in enumerate(ints)]
+    monic = fraction_orthogonal_polynomials([F(w, common) for w in weights])
+    for (q, norm), (expected, expected_norm) in zip(orthogonal_polynomials(weights), monic):
+        assert all(type(x) is int for x in q) and math.gcd(*q) == 1
+        # a positive multiple c of the monic polynomial, with norm
+        # c^2 D_n <q_k, q_k> under the integer weights
+        z = next(z for z, x in enumerate(expected) if x != 0)
+        c = F(q[z]) / expected[z]
+        assert c > 0 and [F(x) for x in q] == [c * x for x in expected]
+        assert norm == c * c * common * expected_norm
+
+
+@SETTINGS
+@given(measure=parity_laws, t1=statistics(10, min_n=0), data=st.data())
+def test_inner_product_equals_fraction_oracle(measure, t1, data):
+    # one draw in four has a mismatched arity
+    n = t1.n + data.draw(st.sampled_from([0, 0, 0, 1]))
+    t2 = data.draw(statistics(n, min_n=n))
+    assert outcome(inner_product, t1, t2, measure) == outcome(
+        fraction_inner_product, t1, t2, measure
+    )
+
+
+@SETTINGS
+@given(kernel=statistics(6, min_n=0), n=st.integers(0, 10))
+def test_lift_equals_fraction_oracle(kernel, n):
+    assert outcome(lift_ustatistic, kernel, n) == outcome(fraction_lift_ustatistic, kernel, n)
+
+
+@SETTINGS
+@given(measure=parity_laws, statistic=statistics(10, min_n=0), data=st.data())
+def test_prefix_conditional_equals_fraction_oracle(measure, statistic, data):
+    a = data.draw(st.integers(-1, statistic.n + 1))
+    assert outcome(cond_expectation_prefix, statistic, measure, a) == outcome(
+        fraction_cond_expectation_prefix, statistic, measure, a
+    )
+
+
+def test_prefix_conditional_reports_zero_conditioning_before_truncation():
+    # the point mass at 0 truncated at order 3: conditioning on two
+    # observations divides by P_2(0) = 0 before it reads order 5
+    measure = DeFinettiMeasure.from_moments([1, 0, 0, 0])
+    statistic = SymmetricFunction(tuple(F(z) for z in range(6)))
+    with pytest.raises(DeterministicMeasureError):
+        cond_expectation_prefix(statistic, measure, 2)
+    with pytest.raises(DeterministicMeasureError):
+        fraction_cond_expectation_prefix(statistic, measure, 2)
+
+
+@SETTINGS
+@given(measure=beta_laws(), orders=st.lists(st.integers(0, 63), min_size=1, max_size=6))
+def test_beta_moments_equal_product_formula(measure, orders):
+    # the orders come in random sequence, so the cache fills in random steps
+    a, b = measure.beta_alpha, measure.beta_beta
+    for n in orders + [63]:
+        expected = F(1)
+        for i in range(n):
+            expected *= (a + i) / (a + b + i)
+        assert measure.moment(n) == expected
 
 
 @SETTINGS
