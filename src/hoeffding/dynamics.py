@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import Triple, Verdict, check_decomposable
+from .engine import Triple, _certified_residual, check_decomposable
 from .errors import (
     IndexRangeError,
     InternalError,
@@ -153,9 +153,24 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
 
     A first/second moment pair on the point-mass boundary (mu_2 = mu_1^2)
     proposes an i.i.d. law; otherwise the unique Beta candidate is
-    recovered and all available moments are compared exactly, followed by
-    the decomposability residual scan. Truncated moment sequences too short
-    to complete the verification return INCONCLUSIVE rather than a verdict.
+    recovered and the moments are compared exactly against the candidate's.
+    Truncated moment sequences too short to complete the verification
+    return INCONCLUSIVE rather than a verdict.
+
+    The moments stand in for the decomposability residual scan up to
+    d = min(n_max, (cap+1)//2). Residual (n, u, z) reads moments up to
+    n+u-1 only, so with M = min(n_max, cap), comparing moments up to
+    max(M, 2d-1) settles every residual of the scan:
+
+    * all moments equal: every residual is the Beta law's, which the
+      theorem makes zero;
+    * first mismatch at m <= M: the witness is the moment order m;
+    * first mismatch at m > M: every triple before (m//2 + 1, ceil(m/2), 0)
+      in scan order reads only moments below m, so its residual is zero,
+      and that triple is the scan's witness once its residual, certified
+      on both routes, is nonzero. Were it zero, the full scan runs instead.
+
+    The result is the one the full scan gives.
     """
     if n_max < 3:
         raise IndexRangeError("n_max must be at least 3")
@@ -191,19 +206,24 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
 
     alpha, beta = recover_beta(mu1, mu2)
     reference = DeFinettiMeasure.beta(alpha, beta)
-    for n in range(3, moment_order + 1):
-        if measure.moment(n) != reference.moment(n):
-            return Classification(
-                ClassificationKind.NOT_DECOMPOSABLE, witness=n, verified_order=n
-            )
-
     decomp_order = n_max if cap is None else min(n_max, (cap + 1) // 2)
-    if decomp_order >= 2:
-        report = check_decomposable(measure, decomp_order)
-        if report.verdict is Verdict.NOT_DECOMPOSABLE:
+    orders = range(3, max(moment_order, 2 * decomp_order - 1) + 1)
+    mismatch = next((m for m in orders if measure.moment(m) != reference.moment(m)), None)
+    if mismatch is not None and mismatch <= moment_order:
+        return Classification(
+            ClassificationKind.NOT_DECOMPOSABLE, witness=mismatch, verified_order=mismatch
+        )
+    if mismatch is not None:
+        # the first triple in scan order that reads moment `mismatch`
+        n, u = mismatch // 2 + 1, (mismatch + 1) // 2
+        if _certified_residual(measure, n, u, 0) != 0:
+            witness = (n, u, 0)
+        else:
+            witness = check_decomposable(measure, decomp_order).witness
+        if witness is not None:
             return Classification(
                 ClassificationKind.NOT_DECOMPOSABLE,
-                witness=report.witness,
+                witness=witness,
                 verified_order=moment_order,
             )
     if moment_order < n_max or decomp_order < n_max:

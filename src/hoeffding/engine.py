@@ -28,10 +28,17 @@ The two residual routes are tied by the exact identity
 
 so they vanish simultaneously. Both residual routes run on the integer
 forms of the configuration rows (see :mod:`hoeffding.measures`): each
-residual is an integer dot product turned into one ``Fraction``. The first
-nonzero residual of a scan, the reported witness, is certified against its
-defining alternating sum of ``conditional_zero_count`` quotients, so the
-witness never rests on the integer path alone.
+residual is an integer dot product turned into one ``Fraction``. The weak
+route is fused: with the canonical kernel written through the reciprocal
+row, phi(k) = (-1)^k P_n(0) r[k] / L_n, the overlap cells along each
+diagonal k + l = z share the denominator P_{n-1}(z), so a whole
+symmetrized row is one integer sum per z, with no kernel and no overlap
+grid built. The first nonzero residual of a scan, the reported witness, is
+certified on both routes against their definitions: the primary value
+against its alternating sum of ``conditional_zero_count`` quotients, the
+weak value against the composed ``symmetrize(cond_expectation_overlap(
+canonical_degenerate_kernel))``. So the witness never rests on the integer
+path alone.
 
 A verdict of "decomposable up to n_max" is a bounded claim: the tests
 quantify over every n >= 2, and this module scans only n <= n_max.
@@ -294,9 +301,84 @@ def _alternating_residual(
 def _weak_residual_row(
     measure: DeFinettiMeasure, n: int, u: int
 ) -> SymmetricFunction:
-    """Symmetrized overlap conditional of the canonical kernel, all z at once."""
+    """Symmetrized overlap conditional of the canonical kernel, all z at once.
+
+    Value z is the C(v,k) C(w,z-k)-weighted average, over the diagonal
+    k + l = z of the overlap grid (v = n-u, w = u-1), of the conditional
+    expectation of phi(k zeros) = (-1)^k P_n(0) r[k] / L_n. Every cell of
+    the diagonal divides by the same P_{n-1}(z), so with the integer rows
+    ``(I, D)`` of order n-1+u, ``(g, G)`` of order n-1 and ``(ints_n, D_n)``
+    of order n, and the reciprocal row ``(r, L_n)`` of order n,
+
+        weak(z) = G ints_n[0] sum_k C(v,k) C(w,z-k)
+                    sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m]
+                  / (D_n L_n D g[z] C(n-1,z)),
+
+    one ``Fraction`` per z.
+    """
+    measure.require_nondeterministic(n + u - 1)
+    v, w = n - u, u - 1
+    ints, common = measure._int_row(n - 1 + u)
+    given, given_common = measure._int_row(n - 1)
+    order_n, order_n_common = measure._int_row(n)
+    reciprocals, reciprocal_common = measure._reciprocal_row(n)
+    # the kernel's sign folded into its reciprocal row
+    kernel = [r if k % 2 == 0 else -r for k, r in enumerate(reciprocals)]
+    overlap = [math.comb(u, m) for m in range(u + 1)]
+    scale = given_common * order_n[0]
+    common *= order_n_common * reciprocal_common
+    values = []
+    for z in range(n):
+        window = [c * x for c, x in zip(overlap, ints[z : z + u + 1])]
+        total = 0
+        for k in range(max(0, z - w), min(z, v) + 1):
+            cell = sum(map(int.__mul__, window, kernel[k : k + u + 1]))
+            total += math.comb(v, k) * math.comb(w, z - k) * cell
+        values.append(
+            Fraction(scale * total, common * given[z] * math.comb(n - 1, z))
+        )
+    return SymmetricFunction(tuple(values))
+
+
+def _require_routes_agree(triple: Triple, primary: Fraction, weak: Fraction) -> None:
+    if (primary == 0) != (weak == 0):
+        raise InternalError(
+            f"residual routes disagree at {triple}: {primary} vs {weak}"
+        )
+
+
+def _certify_witness(
+    measure: DeFinettiMeasure, triple: Triple, primary: Fraction, weak: Fraction
+) -> None:
+    """Check a nonzero residual pair against the definitions of both routes:
+    the primary value against its alternating sum, the weak value against
+    the composed overlap conditional of the canonical kernel."""
+    n, u, z = triple
+    reference = _alternating_residual(measure, n, u, z)
+    if primary != reference:
+        raise InternalError(
+            f"witness residual at {triple} is {primary}, "
+            f"but its alternating sum is {reference}"
+        )
     kernel = canonical_degenerate_kernel(measure, n)
-    return symmetrize(cond_expectation_overlap(kernel, measure, u))
+    composed = symmetrize(cond_expectation_overlap(kernel, measure, u))[z]
+    if weak != composed:
+        raise InternalError(
+            f"weak witness residual at {triple} is {weak}, "
+            f"but its composed definition gives {composed}"
+        )
+
+
+def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fraction:
+    """The residual at one triple, by both routes, certified as a scan
+    certifies its witness when it is nonzero."""
+    triple = (n, u, z)
+    primary = decomposability_residual(measure, n, u, z)
+    weak = _weak_residual_row(measure, n, u)[z]
+    _require_routes_agree(triple, primary, weak)
+    if primary != 0:
+        _certify_witness(measure, triple, primary, weak)
+    return primary
 
 
 def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
@@ -327,8 +409,9 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     """Scan all triples up to n_max through both residual routes.
 
     The two routes must agree on which triples vanish (an exact identity),
-    and the witness residual must equal its defining alternating sum;
-    either failure raises ``InternalError``. The verdict is bounded
+    and the witness residuals must equal their definitions (the alternating
+    sum, and the composed overlap conditional of the canonical kernel); any
+    failure raises ``InternalError``. The verdict is bounded
     ("decomposable up to n_max"), never a claim for all n.
     """
     if n_max < 2:
@@ -344,17 +427,9 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
                 triple = (n, u, z)
                 residuals[triple] = primary = decomposability_residual(measure, n, u, z)
                 cross[triple] = weak = row[z]
-                if (primary == 0) != (weak == 0):
-                    raise InternalError(
-                        f"residual routes disagree at {triple}: {primary} vs {weak}"
-                    )
+                _require_routes_agree(triple, primary, weak)
                 if primary != 0 and witness is None:
-                    reference = _alternating_residual(measure, n, u, z)
-                    if primary != reference:
-                        raise InternalError(
-                            f"witness residual at {triple} is {primary}, "
-                            f"but its alternating sum is {reference}"
-                        )
+                    _certify_witness(measure, triple, primary, weak)
                     witness = triple
     verdict = Verdict.NOT_DECOMPOSABLE if witness else Verdict.DECOMPOSABLE_UP_TO_N_MAX
     return DecomposabilityReport(

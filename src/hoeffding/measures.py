@@ -10,10 +10,14 @@ of i.i.d. Bernoulli sequences; the mixing law on [0,1] determines everything.
     one factor per order on top of the cached ``mu_{n-1}``.
 ``DISCRETE``
     A finite mixture of point masses at rational locations in [0,1];
-    a single atom gives an i.i.d. sequence.
+    a single atom gives an i.i.d. sequence. Moments are ``sum_i w_i x_i^n``
+    on one common denominator, over cached integer powers of the atoms,
+    one factor per atom per order.
 ``MOMENTS``
-    A truncated moment sequence ``mu_0..mu_M`` validated for complete
-    monotonicity; every operation fails loudly past order ``M``.
+    A truncated moment sequence ``mu_0..mu_M`` whose configuration rows are
+    non-negative up to order ``M``: the moments of an exchangeable law on
+    {0,1}^M (Diaconis and Freedman 1980), which need not extend to a
+    mixture of i.i.d. laws. Every operation fails loudly past order ``M``.
 
 The kinds differ only in their moments. Every derived quantity comes from
 the configuration probabilities ``P_n(j)``, the probability that a fixed
@@ -89,6 +93,7 @@ class DeFinettiMeasure:
     atoms: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
     moment_values: Optional[tuple[Fraction, ...]] = None
     _moments: dict = field(default_factory=dict, compare=False, repr=False)
+    _atom_powers: dict = field(default_factory=dict, compare=False, repr=False)
     _rows: dict = field(default_factory=dict, compare=False, repr=False)
     _int_rows: dict = field(default_factory=dict, compare=False, repr=False)
     _reciprocal_rows: dict = field(default_factory=dict, compare=False, repr=False)
@@ -126,7 +131,8 @@ class DeFinettiMeasure:
 
     @classmethod
     def from_moments(cls, values) -> "DeFinettiMeasure":
-        """Truncated moment sequence mu_0..mu_M, checked for complete monotonicity."""
+        """Truncated moment sequence mu_0..mu_M, checked for non-negative
+        configuration rows up to order M."""
         vals = tuple(Fraction(v) for v in values)
         if not vals:
             raise ParseError("a moment sequence needs at least mu_0")
@@ -192,9 +198,8 @@ class DeFinettiMeasure:
         if self.kind is MeasureKind.BETA:
             return self._beta_moment(n)
         if self.kind is MeasureKind.DISCRETE:
-            value = sum((w * loc**n for loc, w in self.atoms), Fraction(0))
-        else:
-            value = self.moment_values[n]
+            return self._discrete_moment(n)
+        value = self.moment_values[n]
         self._moments[n] = value
         return value
 
@@ -210,6 +215,33 @@ class DeFinettiMeasure:
             if m:
                 value = value * (a + m - 1) / (a + b + m - 1)
             value = self._moments.setdefault(m, value)
+        return value
+
+    def _discrete_moment(self, n: int) -> Fraction:
+        """mu_n = sum_i w_i x_i^n on one common denominator, extending the
+        cached per-atom powers up to order n.
+
+        With w_i = c_i/d_i and x_i = a_i/b_i, order m caches the integer
+        pairs (c_i a_i^m, d_i b_i^m): one integer factor per atom per new
+        order, and one ``Fraction`` per moment.
+        """
+        powers = self._atom_powers
+        start = n
+        while start > 0 and start - 1 not in powers:
+            start -= 1
+        if start:
+            numerators, denominators = powers[start - 1]
+        else:
+            numerators = tuple(w.numerator for _, w in self.atoms)
+            denominators = tuple(w.denominator for _, w in self.atoms)
+        for m in range(start, n + 1):
+            if m:
+                numerators = tuple(c * x.numerator for c, (x, _) in zip(numerators, self.atoms))
+                denominators = tuple(d * x.denominator for d, (x, _) in zip(denominators, self.atoms))
+            numerators, denominators = powers.setdefault(m, (numerators, denominators))
+            common = math.lcm(*denominators)
+            total = sum(c * (common // d) for c, d in zip(numerators, denominators))
+            value = self._moments.setdefault(m, Fraction(total, common))
         return value
 
     def config_probability(self, n: int, zeros: int) -> Fraction:
@@ -327,8 +359,8 @@ def parse_measure_spec(document: str) -> DeFinettiMeasure:
         {"type": "moments", "values": ["1", "1/4", "1/12", "1/32"]}
         {"type": "truncated_uniform", "epsilon": "1/2", "order": 12}
 
-    Rationals are ``"p/q"`` or ``"p"`` text. Moment sequences are validated
-    for complete monotonicity and rejected otherwise. Orders above
+    Rationals are ``"p/q"`` or ``"p"`` text. Moment sequences must have
+    non-negative configuration rows up to their order. Orders above
     ``MAX_MOMENT_ORDER`` are refused before any moment is computed.
     """
     try:

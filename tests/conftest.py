@@ -1,6 +1,7 @@
 """Shared test measures, configuration-probability oracles, the
 ``Fraction`` residual-route oracles, brute-force enumeration oracles, the
-Gram oracle, the ``Fraction`` layer-path oracles (the Stieltjes recurrence,
+Gram oracle, ``scan_classify`` (classification by the full residual
+scan), the ``Fraction`` layer-path oracles (the Stieltjes recurrence,
 the inner product, the lift and the prefix conditional expectation), the
 per-bit sampling oracle, and the scaffolding only tests use: the two-term
 degeneracy residual, the affine-predictive helpers and the moment-region
@@ -25,6 +26,8 @@ import pytest
 
 from hoeffding import (
     ArityMismatchError,
+    Classification,
+    ClassificationKind,
     DeFinettiMeasure,
     DeterministicMeasureError,
     IndexRangeError,
@@ -32,6 +35,9 @@ from hoeffding import (
     ParameterRangeError,
     SymmetricFunction,
     UrnSpec,
+    Verdict,
+    check_decomposable,
+    recover_beta,
 )
 from hoeffding.montecarlo import trial_stream
 
@@ -235,6 +241,56 @@ def fraction_check_decomposable(measure, n_max):
                 if residuals[(n, u, z)] != 0 and witness is None:
                     witness = (n, u, z)
     return residuals, cross, witness
+
+
+def scan_classify(measure, n_max):
+    """``classify`` by its former route: the Beta candidate's moments
+    compared up to n_max, then the full residual scan of
+    ``check_decomposable``."""
+    if n_max < 3:
+        raise IndexRangeError("n_max must be at least 3")
+    cap = measure.max_order
+    nondet_order = 2 * n_max - 1 if cap is None else min(2 * n_max - 1, cap)
+    measure.require_nondeterministic(nondet_order)
+
+    moment_order = n_max if cap is None else min(n_max, cap)
+    mu1, mu2 = measure.moment(1), measure.moment(2)
+
+    if mu2 == mu1 * mu1:
+        for n in range(3, moment_order + 1):
+            if measure.moment(n) != mu1**n:
+                return Classification(
+                    ClassificationKind.NOT_DECOMPOSABLE, witness=n, verified_order=n
+                )
+        if moment_order < n_max:
+            return Classification(ClassificationKind.INCONCLUSIVE, verified_order=moment_order)
+        return Classification(ClassificationKind.IID, iid_p=mu1, verified_order=n_max)
+
+    if mu2 < mu1 * mu1:
+        return Classification(ClassificationKind.NOT_DECOMPOSABLE, witness=2, verified_order=2)
+
+    alpha, beta = recover_beta(mu1, mu2)
+    reference = DeFinettiMeasure.beta(alpha, beta)
+    for n in range(3, moment_order + 1):
+        if measure.moment(n) != reference.moment(n):
+            return Classification(
+                ClassificationKind.NOT_DECOMPOSABLE, witness=n, verified_order=n
+            )
+
+    decomp_order = n_max if cap is None else min(n_max, (cap + 1) // 2)
+    if decomp_order >= 2:
+        report = check_decomposable(measure, decomp_order)
+        if report.verdict is Verdict.NOT_DECOMPOSABLE:
+            return Classification(
+                ClassificationKind.NOT_DECOMPOSABLE,
+                witness=report.witness,
+                verified_order=moment_order,
+            )
+    if moment_order < n_max or decomp_order < n_max:
+        return Classification(ClassificationKind.INCONCLUSIVE, verified_order=moment_order)
+    return Classification(
+        ClassificationKind.POLYA, polya_alpha=alpha, polya_beta=beta, verified_order=n_max
+    )
 
 
 # ---------------------------------------------------------------------------

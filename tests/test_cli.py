@@ -454,6 +454,17 @@ class TestSizeBounds:
             assert code == 2 and out == ""
             assert f"--statistic arity must be at most {MAX_ORDER}" in err
 
+    def test_project_arity_refused_before_values_are_parsed(self, files, tmp_path):
+        # none of the values is a rational, so only a check that reads the
+        # arity first can report it
+        arity = MAX_ORDER + 1
+        path = tmp_path / "statistic.json"
+        path.write_text(json.dumps({"n": arity, "values": ["x"] * (arity + 1)}), encoding="utf-8")
+        argv = ["project", "--measure", files["beta11.json"], "--statistic", str(path)]
+        code, out, err = dispatch(argv)
+        assert code == 2 and out == ""
+        assert f"--statistic arity must be at most {MAX_ORDER}" in err
+
 
 THREE_ATOM = '{"type": "discrete", "atoms": [["2/7", "1/3"], ["5/11", "1/3"], ["9/10", "1/3"]]}'
 

@@ -28,6 +28,7 @@ from conftest import (
     dirac12,
     predictive_affinity_residual,
     sample_moment_region,
+    scan_classify,
     twopoint,
     unif_half,
 )
@@ -349,6 +350,37 @@ class TestClassify:
         # witness comes from the residual scan instead
         result = classify(twopoint(), 3)
         assert result.kind is ClassificationKind.NOT_DECOMPOSABLE
+        assert result.witness == (3, 2, 0)
+
+    def test_moment_route_runs_no_scan(self, monkeypatch):
+        # a Beta law is settled by its moments, and a law departing from its
+        # Beta candidate past n_max by one certified residual
+        import hoeffding.dynamics
+
+        def no_scan(measure, n_max):
+            raise AssertionError("classify ran the full residual scan")
+
+        monkeypatch.setattr(hoeffding.dynamics, "check_decomposable", no_scan)
+        assert classify(beta23(), 6).kind is ClassificationKind.POLYA
+        assert classify(twopoint(), 3).witness == (3, 2, 0)
+
+    def test_zero_candidate_residual_falls_back_to_the_scan(self, monkeypatch):
+        # were the first triple reading the mismatched moment zero, the full
+        # scan would decide; here it finds the same witness
+        import hoeffding.dynamics
+
+        scans = []
+        scan = hoeffding.dynamics.check_decomposable
+
+        def counted_scan(measure, n_max):
+            scans.append(n_max)
+            return scan(measure, n_max)
+
+        monkeypatch.setattr(hoeffding.dynamics, "_certified_residual", lambda *triple: F(0))
+        monkeypatch.setattr(hoeffding.dynamics, "check_decomposable", counted_scan)
+        result = classify(twopoint(), 3)
+        assert scans == [3]
+        assert result == scan_classify(twopoint(), 3)
         assert result.witness == (3, 2, 0)
 
     def test_short_truncation_inconclusive(self):

@@ -495,3 +495,35 @@ class TestCheckDecomposable:
         result = run_optimized(script)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("witness residual at (3, 2, 0)")
+
+    def test_weak_witness_certificate_raises_under_optimize(self):
+        # doubling the fused weak row keeps the routes vanishing together,
+        # so only the weak witness certificate (the composed overlap
+        # conditional of the canonical kernel) can catch it, in both
+        # check_decomposable and classify's residual witness, under python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from hoeffding import (DeFinettiMeasure, InternalError, SymmetricFunction,
+                                   check_decomposable, classify, engine)
+            if __debug__:
+                sys.exit("not running under -O")
+            fused = engine._weak_residual_row
+            engine._weak_residual_row = lambda measure, n, u: SymmetricFunction(
+                tuple(2 * x for x in fused(measure, n, u).values))
+            twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+            for run in (lambda: check_decomposable(twopoint, 4), lambda: classify(twopoint, 3)):
+                try:
+                    run()
+                except InternalError as exc:
+                    print(exc)
+                else:
+                    sys.exit("no InternalError raised")
+            """
+        )
+        result = run_optimized(script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("weak witness residual at (3, 2, 0)") for line in lines)

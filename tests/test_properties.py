@@ -16,7 +16,13 @@ residual routes must equal the ``Fraction`` oracles of ``conftest`` (the
 residual maps and the witness of ``check_decomposable``, the overlap
 conditional expectation and symmetrization on random statistics), raise
 the same error classes, and read integer and reciprocal rows that equal
-the configuration rows on their least common denominators. The fused Monte Carlo
+the configuration rows on their least common denominators. The fused
+weak-route row must equal the composed ``Fraction`` oracles of the
+canonical kernel's overlap conditional expectation, symmetrized, and
+``classify`` must equal ``scan_classify``, its former full-scan route, on
+random laws and on Beta moment sequences perturbed past the compared
+moment orders. Discrete moments must equal the sum over atoms at every
+order up to 63. The fused Monte Carlo
 histograms of random Beta, discrete and urn specifications must equal the
 per-bit sampling oracle count for count. Examples are capped and derandomized so the suite
 costs a few seconds and repeats exactly.
@@ -43,6 +49,7 @@ from hoeffding import (
     SymmetricFunction,
     UrnSpec,
     check_decomposable,
+    classify,
     compare_exact_empirical,
     cond_expectation_overlap,
     decomposability_residual,
@@ -55,6 +62,7 @@ from hoeffding import (
     symmetrize,
     urn_histogram,
 )
+from hoeffding.engine import _weak_residual_row
 from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
@@ -66,6 +74,7 @@ from conftest import (
     enum_config_probability,
     enum_symmetrize,
     first_negative_configuration,
+    fraction_canonical_kernel,
     fraction_check_decomposable,
     fraction_cond_expectation_overlap,
     fraction_cond_expectation_prefix,
@@ -78,6 +87,7 @@ from conftest import (
     gram_decomposition,
     nondeterminism_scan,
     reference_histogram,
+    scan_classify,
 )
 
 F = Fraction
@@ -337,6 +347,90 @@ def test_three_atom_law_equals_fraction_oracle():
     assert report.witness == witness == (2, 2, 0)
 
 
+def assert_fused_weak_rows_equal_fraction_oracle(measure, n):
+    kernel = fraction_canonical_kernel(measure, n)
+    for u in range(2, n + 1):
+        expected = fraction_symmetrize(fraction_cond_expectation_overlap(kernel, measure, u))
+        assert list(_weak_residual_row(measure, n, u).values) == expected
+
+
+@SETTINGS
+@given(measure=measures, n=st.integers(2, 12))
+def test_fused_weak_row_equals_fraction_oracle(measure, n):
+    assert_fused_weak_rows_equal_fraction_oracle(measure, n)
+
+
+def test_fused_weak_rows_of_three_atom_law_equal_fraction_oracle():
+    measure = DeFinettiMeasure.discrete([(F(2, 7), F(1, 3)), (F(5, 11), F(1, 3)), (F(9, 10), F(1, 3))])
+    for n in range(2, 13):
+        assert_fused_weak_rows_equal_fraction_oracle(measure, n)
+
+
+@st.composite
+def classify_laws(draw):
+    """A Beta, Dirac, 2-4-atom, truncated uniform or short moment-sequence
+    law, and a depth n_max. The moment sequences stop below 2 n_max - 1,
+    so most of them are INCONCLUSIVE."""
+    n_max = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["beta", "dirac", "atoms", "uniform", "short"]))
+    if kind == "beta":
+        return draw(beta_laws()), n_max
+    if kind == "dirac":
+        return DeFinettiMeasure.dirac(draw(unit_rationals())), n_max
+    if kind == "atoms":
+        locations = draw(st.lists(unit_rationals(), min_size=2, max_size=4, unique=True))
+        masses = draw(
+            st.lists(st.integers(1, 5), min_size=len(locations), max_size=len(locations))
+        )
+        total = sum(masses)
+        return DeFinettiMeasure.discrete(
+            [(loc, F(mass, total)) for loc, mass in zip(locations, masses)]
+        ), n_max
+    if kind == "uniform":
+        order = draw(st.integers(2 * n_max - 1, 3 * n_max))
+        return DeFinettiMeasure.truncated_uniform(draw(unit_rationals()), order), n_max
+    law = draw(measures)
+    order = draw(st.integers(0, 2 * n_max - 2))
+    return DeFinettiMeasure.from_moments([law.moment(k) for k in range(order + 1)]), n_max
+
+
+@SETTINGS
+@given(case=classify_laws())
+def test_classify_equals_full_scan_oracle(case):
+    measure, n_max = case
+    assert outcome(classify, measure, n_max) == outcome(scan_classify, measure, n_max)
+
+
+@st.composite
+def perturbed_beta_laws(draw):
+    """The moments of a Beta law up to a little past order 2 n_max - 1,
+    with moment m, n_max < m <= 2 n_max - 1, moved by a small rational.
+
+    Moving mu_m by e moves an entry of row n >= m by at most 2^n |e|, so a
+    move below the least row entry over 2^(order+1) keeps every row
+    positive."""
+    law = draw(beta_laws())
+    n_max = draw(st.integers(3, 7))
+    order = 2 * n_max - 1 + draw(st.integers(0, 2))
+    m = draw(st.integers(n_max + 1, 2 * n_max - 1))
+    least = min(law.config_probability(n, j) for n in range(order + 1) for j in range(n + 1))
+    shift = least / 2 ** (order + 1) * F(draw(st.integers(1, 9)), 10)
+    values = [law.moment(k) for k in range(order + 1)]
+    values[m] += shift if draw(st.booleans()) else -shift
+    return DeFinettiMeasure.from_moments(values), n_max, m
+
+
+@SETTINGS
+@given(case=perturbed_beta_laws())
+def test_classify_residual_witness_equals_full_scan_oracle(case):
+    # the first mismatch lies past the compared moment orders, so the
+    # witness is the first triple that reads moment m
+    measure, n_max, m = case
+    result = classify(measure, n_max)
+    assert result == scan_classify(measure, n_max)
+    assert result.witness == (m // 2 + 1, (m + 1) // 2, 0)
+
+
 # every closed-form law, the {0, 1} two-atom law included, and moment
 # sequences whose truncation a residual or an overlap may read past
 parity_laws = st.one_of(closed_form_laws, moment_laws(max_order=8))
@@ -518,6 +612,17 @@ def test_beta_moments_equal_product_formula(measure, orders):
 
 
 @SETTINGS
+@given(
+    measure=discrete_laws(st.one_of(st.sampled_from([F(0), F(1)]), unit_rationals())),
+    orders=st.lists(st.integers(0, 63), min_size=1, max_size=6),
+)
+def test_discrete_moments_equal_sum_formula(measure, orders):
+    # the orders come in random sequence, so the power cache fills in random steps
+    for n in orders + [63]:
+        assert measure.moment(n) == sum((w * loc**n for loc, w in measure.atoms), F(0))
+
+
+@SETTINGS
 @given(measure=st.one_of(closed_form_laws, moment_laws(max_order=12)), n=st.integers(0, 12))
 def test_integer_rows_are_the_rows_on_least_denominators(measure, n):
     if measure.max_order is not None:
@@ -563,8 +668,9 @@ def integer_rows_oracle(row):
     ids=["beta", "discrete", "endpoints"],
 )
 def test_concurrent_fills_match_single_threaded_oracle(factory):
-    # four threads extend fresh row, integer-row, reciprocal-row and
-    # non-determinism caches in different orders; a lost or torn entry would
+    # four threads extend fresh moment (per-atom powers for the discrete
+    # laws), row, integer-row, reciprocal-row and non-determinism caches in
+    # different orders; a lost or torn entry would
     # surface as a wrong row or a wrong non-determinism bit. On the {0, 1}
     # endpoint law only orders 0 and 1 are non-deterministic, so a cache
     # that stored an unverified order would answer True above them.
@@ -579,7 +685,11 @@ def test_concurrent_fills_match_single_threaded_oracle(factory):
     expected = {}
     for n in range(max_order + 1):
         row = [config_probability_oracle(measure, n, j) for j in range(n + 1)]
-        expected[n] = (row, nondeterminism_scan(measure, n), *integer_rows_oracle(row))
+        # mu_n = P_n(0): the product formula, or the sum over atoms
+        moment = closed_form_config_probability(measure, n, 0)
+        expected[n] = (
+            moment, row, nondeterminism_scan(measure, n), *integer_rows_oracle(row)
+        )
     results = [[] for _ in schedules]
     start = threading.Barrier(len(schedules))
 
@@ -590,7 +700,8 @@ def test_concurrent_fills_match_single_threaded_oracle(factory):
             int_row = measure._int_row(n)
             reciprocal_row = outcome(measure._reciprocal_row, n)
             row = [measure.config_probability(n, j) for j in range(n + 1)]
-            out.append((n, (row, nondeterministic, int_row, reciprocal_row)))
+            moment = measure.moment(n)
+            out.append((n, (moment, row, nondeterministic, int_row, reciprocal_row)))
 
     previous_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
