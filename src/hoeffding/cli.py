@@ -502,25 +502,9 @@ def _cmd_kernel(args) -> tuple[int, str]:
 
 def _cmd_project(args) -> tuple[int, str]:
     measure = parse_measure_spec(_read(args.measure))
-    document = _read(args.statistic)
-    # the bound is read off the document before any value is parsed, so an
-    # over-arity statistic is refused in time independent of its values
-    if _declared_arity(document) > MAX_ORDER:
-        raise ParseError(f"--statistic arity must be at most {MAX_ORDER}")
-    statistic = parse_statistic_spec(document)
+    statistic = parse_statistic_spec(_read(args.statistic))
     report = hoeffding_decomposition(statistic, measure)
     return 0, render_report(report, args.format, measure=measure)
-
-
-def _declared_arity(document: str) -> int:
-    """The integer ``n`` of a statistic document, or -1 when there is none
-    (``parse_statistic_spec`` then reports the malformed document)."""
-    try:
-        payload = json.loads(document)
-    except json.JSONDecodeError:
-        return -1
-    n = payload.get("n") if isinstance(payload, dict) else None
-    return n if isinstance(n, int) and not isinstance(n, bool) else -1
 
 
 def _cmd_check(args) -> tuple[int, str]:

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import Triple, _certified_residual, check_decomposable
+from .engine import Triple, _certified_residual
 from .errors import (
     IndexRangeError,
     InternalError,
@@ -167,10 +167,16 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
     * first mismatch at m <= M: the witness is the moment order m;
     * first mismatch at m > M: every triple before (m//2 + 1, ceil(m/2), 0)
       in scan order reads only moments below m, so its residual is zero,
-      and that triple is the scan's witness once its residual, certified
-      on both routes, is nonzero. Were it zero, the full scan runs instead.
+      and that triple, certified on both routes, is the scan's witness.
 
-    The result is the one the full scan gives.
+    The last triple's residual is never zero. At z = 0 only k = 0 enters,
+    so with n + u - 1 = m it is sum_j (-1)^j C(u,j) P_m(j) / P_n(j). Every
+    moment below m is the Beta law's, so P_n is, and P_m(j) is the Beta
+    law's plus (-1)^j delta, delta = mu_m - ref_m != 0. The Beta law's
+    residual is zero, so the residual is delta sum_j C(u,j) / P_n(j), and
+    every term of that sum is positive (non-determinism is checked up to
+    order m before). A zero there raises ``InternalError``. The result is
+    the one the full scan gives.
     """
     if n_max < 3:
         raise IndexRangeError("n_max must be at least 3")
@@ -215,17 +221,17 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
         )
     if mismatch is not None:
         # the first triple in scan order that reads moment `mismatch`
-        n, u = mismatch // 2 + 1, (mismatch + 1) // 2
-        if _certified_residual(measure, n, u, 0) != 0:
-            witness = (n, u, 0)
-        else:
-            witness = check_decomposable(measure, decomp_order).witness
-        if witness is not None:
-            return Classification(
-                ClassificationKind.NOT_DECOMPOSABLE,
-                witness=witness,
-                verified_order=moment_order,
+        witness = (mismatch // 2 + 1, (mismatch + 1) // 2, 0)
+        if _certified_residual(measure, *witness) == 0:
+            raise InternalError(
+                f"residual at {witness} vanishes, but moment {mismatch} "
+                "departs from the Beta candidate"
             )
+        return Classification(
+            ClassificationKind.NOT_DECOMPOSABLE,
+            witness=witness,
+            verified_order=moment_order,
+        )
     if moment_order < n_max or decomp_order < n_max:
         return Classification(
             ClassificationKind.INCONCLUSIVE, verified_order=moment_order

@@ -26,19 +26,23 @@ The two residual routes are tied by the exact identity
 
     weak(n,u,z) * C(n-1,z) * P_{n-1}(z zeros) = residual(n,u,z) * P_n(0 zeros)
 
-so they vanish simultaneously. Both residual routes run on the integer
-forms of the configuration rows (see :mod:`hoeffding.measures`): each
-residual is an integer dot product turned into one ``Fraction``. The weak
-route is fused: with the canonical kernel written through the reciprocal
-row, phi(k) = (-1)^k P_n(0) r[k] / L_n, the overlap cells along each
-diagonal k + l = z share the denominator P_{n-1}(z), so a whole
-symmetrized row is one integer sum per z, with no kernel and no overlap
-grid built. The first nonzero residual of a scan, the reported witness, is
-certified on both routes against their definitions: the primary value
-against its alternating sum of ``conditional_zero_count`` quotients, the
-weak value against the composed ``symmetrize(cond_expectation_overlap(
-canonical_degenerate_kernel))``. So the witness never rests on the integer
-path alone.
+so they vanish simultaneously. Both routes run on one integer sum: the
+residuals of a row (n, u) are integer numerators over the common
+denominator of the integer row of order n+u-1 and the reciprocal row of
+order n (see :mod:`hoeffding.measures`), computed once, and the weak row
+is those numerators scaled by the identity, one ``Fraction`` per value.
+So the two routes agree by construction, and their independent checks
+are against the definitions, in code that reads neither that sum nor
+the reciprocal row:
+
+* the first nonzero residual of a scan, the reported witness, is
+  certified on both routes: the primary value against its alternating sum
+  of ``conditional_zero_count`` quotients, the weak value against the
+  composed ``symmetrize(cond_expectation_overlap(
+  canonical_degenerate_kernel))``;
+* one whole weak row per scan is checked against that composed
+  definition, so a fault that zeroes the sum, which leaves no witness to
+  certify, still raises.
 
 A verdict of "decomposable up to n_max" is a bounded claim: the tests
 quantify over every n >= 2, and this module scans only n <= n_max.
@@ -47,6 +51,7 @@ quantify over every n >= 2, and this module scans only n <= n_max.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -253,9 +258,10 @@ def decomposability_residual(
         sum_k (-1)^k C(n-u, k) sum_m (-1)^m C(u, m) P(m+z | m+k),
 
     with P(b | a) = C(u-1, b-a) P_{n+u-1}(b zeros) / P_n(a zeros) the
-    conditional zero-count probability. It runs over the integer row of
-    order n+u-1 and the reciprocal row of order n, so it is one integer
-    over D_{n+u-1} L_n.
+    conditional zero-count probability. It is one integer numerator over
+    the common denominator of the integer row of order n+u-1 and the
+    reciprocal row of order n, read from the latest residual row when
+    that is the row (n, u).
     """
     if n < 2:
         raise IndexRangeError("n must be at least 2")
@@ -264,18 +270,63 @@ def decomposability_residual(
     if not 0 <= z <= n - 1:
         raise IndexRangeError(f"need 0 <= z <= n-1, got z={z} n={n}")
     measure.require_nondeterministic(n + u - 1)
+    held, key, numerators, common = _latest_row
+    if held() is measure and key == (n, u):
+        return Fraction(numerators[z], common)
+    ints, signed, common = _residual_rows(measure, n, u)
+    return Fraction(_residual_numerator(ints, signed, n, u, z), common)
+
+
+def _residual_rows(
+    measure: DeFinettiMeasure, n: int, u: int
+) -> tuple[tuple[int, ...], list[int], int]:
+    """``(I, s, C)``: the integer row of order n+u-1, the reciprocal row
+    of order n with the sign (-1)^i folded in, and the common denominator
+    C = D_{n+u-1} L_n of the residuals (n, u, z)."""
     ints, common = measure._int_row(n + u - 1)
     reciprocals, reciprocal_common = measure._reciprocal_row(n)
-    # every binomial below is in range, so math.comb needs no guard
-    signed = [math.comb(u, m) if m % 2 == 0 else -math.comb(u, m) for m in range(u + 1)]
-    total = 0
-    for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
-        inner = sum(
-            c * ints[m + z] * reciprocals[m + k] for m, c in enumerate(signed)
-        )
-        weight = math.comb(n - u, k) * math.comb(u - 1, z - k)
-        total += weight * inner if k % 2 == 0 else -weight * inner
-    return Fraction(total, common * reciprocal_common)
+    signed = [r if i % 2 == 0 else -r for i, r in enumerate(reciprocals)]
+    return ints, signed, common * reciprocal_common
+
+
+def _residual_numerator(ints, signed, n: int, u: int, z: int) -> int:
+    """The residual at (n, u, z) times C, over ``_residual_rows``:
+
+        t[z] = sum_k C(n-u,k) C(u-1,z-k) sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m].
+    """
+    v, w = n - u, u - 1
+    window = [math.comb(u, m) * x for m, x in enumerate(ints[z : z + u + 1])]
+    return sum(
+        math.comb(v, k)
+        * math.comb(w, z - k)
+        * sum(map(int.__mul__, window, signed[k : k + u + 1]))
+        for k in range(max(0, z - w), min(z, v) + 1)
+    )
+
+
+# (measure reference, (n, u), numerators, common) of the latest residual
+# row: a scan reads each row once for the weak route and once per z for
+# the primary one
+_latest_row: tuple = (lambda: None, None, (), 1)
+
+
+def _residual_numerators(
+    measure: DeFinettiMeasure, n: int, u: int
+) -> tuple[tuple[int, ...], int]:
+    """``(t, C)`` with ``t[z] / C`` the residual at (n, u, z), z = 0..n-1.
+
+    The row is kept as the latest, so ``decomposability_residual`` reads
+    it instead of summing again. Callers check non-determinism up to
+    order n+u-1 first.
+    """
+    global _latest_row
+    held, key, numerators, common = _latest_row
+    if held() is measure and key == (n, u):
+        return numerators, common
+    ints, signed, common = _residual_rows(measure, n, u)
+    numerators = tuple(_residual_numerator(ints, signed, n, u, z) for z in range(n))
+    _latest_row = (weakref.ref(measure), (n, u), numerators, common)
+    return numerators, common
 
 
 def _alternating_residual(
@@ -303,47 +354,56 @@ def _weak_residual_row(
 ) -> SymmetricFunction:
     """Symmetrized overlap conditional of the canonical kernel, all z at once.
 
-    Value z is the C(v,k) C(w,z-k)-weighted average, over the diagonal
-    k + l = z of the overlap grid (v = n-u, w = u-1), of the conditional
-    expectation of phi(k zeros) = (-1)^k P_n(0) r[k] / L_n. Every cell of
-    the diagonal divides by the same P_{n-1}(z), so with the integer rows
-    ``(I, D)`` of order n-1+u, ``(g, G)`` of order n-1 and ``(ints_n, D_n)``
-    of order n, and the reciprocal row ``(r, L_n)`` of order n,
+    By the route identity the value at z is the primary residual times
+    P_n(0) / (C(n-1,z) P_{n-1}(z)). With the residual numerators ``(t, C)``
+    and the integer rows ``(g, G)`` of order n-1 and ``(ints_n, D_n)`` of
+    order n,
 
-        weak(z) = G ints_n[0] sum_k C(v,k) C(w,z-k)
-                    sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m]
-                  / (D_n L_n D g[z] C(n-1,z)),
+        weak(z) = G ints_n[0] t[z] / (C D_n g[z] C(n-1,z)),
 
-    one ``Fraction`` per z.
+    one ``Fraction`` per z. ``_certify_weak_row`` checks it against the
+    composed definition, which reads neither this sum nor the reciprocal
+    row.
     """
     measure.require_nondeterministic(n + u - 1)
-    v, w = n - u, u - 1
-    ints, common = measure._int_row(n - 1 + u)
+    numerators, common = _residual_numerators(measure, n, u)
     given, given_common = measure._int_row(n - 1)
     order_n, order_n_common = measure._int_row(n)
-    reciprocals, reciprocal_common = measure._reciprocal_row(n)
-    # the kernel's sign folded into its reciprocal row
-    kernel = [r if k % 2 == 0 else -r for k, r in enumerate(reciprocals)]
-    overlap = [math.comb(u, m) for m in range(u + 1)]
     scale = given_common * order_n[0]
-    common *= order_n_common * reciprocal_common
-    values = []
-    for z in range(n):
-        window = [c * x for c, x in zip(overlap, ints[z : z + u + 1])]
-        total = 0
-        for k in range(max(0, z - w), min(z, v) + 1):
-            cell = sum(map(int.__mul__, window, kernel[k : k + u + 1]))
-            total += math.comb(v, k) * math.comb(w, z - k) * cell
-        values.append(
-            Fraction(scale * total, common * given[z] * math.comb(n - 1, z))
+    common *= order_n_common
+    return SymmetricFunction(
+        tuple(
+            Fraction(scale * t, common * given[z] * math.comb(n - 1, z))
+            for z, t in enumerate(numerators)
         )
-    return SymmetricFunction(tuple(values))
+    )
+
+
+def _composed_weak_row(
+    measure: DeFinettiMeasure, n: int, u: int
+) -> SymmetricFunction:
+    """The weak row by its definition: the canonical kernel's overlap
+    conditional expectation, symmetrized."""
+    kernel = canonical_degenerate_kernel(measure, n)
+    return symmetrize(cond_expectation_overlap(kernel, measure, u))
 
 
 def _require_routes_agree(triple: Triple, primary: Fraction, weak: Fraction) -> None:
     if (primary == 0) != (weak == 0):
         raise InternalError(
             f"residual routes disagree at {triple}: {primary} vs {weak}"
+        )
+
+
+def _certify_weak_row(
+    measure: DeFinettiMeasure, n: int, u: int, row: SymmetricFunction
+) -> None:
+    """Check a whole weak row against its composed definition."""
+    composed = _composed_weak_row(measure, n, u)
+    if row != composed:
+        raise InternalError(
+            f"weak row at {(n, u)} is {row.values}, "
+            f"but its composed definition gives {composed.values}"
         )
 
 
@@ -360,8 +420,7 @@ def _certify_witness(
             f"witness residual at {triple} is {primary}, "
             f"but its alternating sum is {reference}"
         )
-    kernel = canonical_degenerate_kernel(measure, n)
-    composed = symmetrize(cond_expectation_overlap(kernel, measure, u))[z]
+    composed = _composed_weak_row(measure, n, u)[z]
     if weak != composed:
         raise InternalError(
             f"weak witness residual at {triple} is {weak}, "
@@ -373,8 +432,8 @@ def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fr
     """The residual at one triple, by both routes, certified as a scan
     certifies its witness when it is nonzero."""
     triple = (n, u, z)
-    primary = decomposability_residual(measure, n, u, z)
     weak = _weak_residual_row(measure, n, u)[z]
+    primary = decomposability_residual(measure, n, u, z)
     _require_routes_agree(triple, primary, weak)
     if primary != 0:
         _certify_witness(measure, triple, primary, weak)
@@ -408,11 +467,16 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
 def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> DecomposabilityReport:
     """Scan all triples up to n_max through both residual routes.
 
-    The two routes must agree on which triples vanish (an exact identity),
-    and the witness residuals must equal their definitions (the alternating
-    sum, and the composed overlap conditional of the canonical kernel); any
-    failure raises ``InternalError``. The verdict is bounded
-    ("decomposable up to n_max"), never a claim for all n.
+    The two routes must agree on which triples vanish (they do by
+    construction of the weak row, so this catches only a weak row not
+    derived from the shared sum), the witness residuals must equal their
+    definitions (the alternating sum, and the composed overlap conditional
+    of the canonical kernel), and the weak row at
+    (n_max, max(2, (n_max+1)//2)) must equal its composed definition; any
+    failure raises ``InternalError``. That row has both overlap blocks
+    nonempty once n_max >= 3, so every term of the residual sum enters it,
+    and it is checked whether or not the scan finds a witness. The verdict
+    is bounded ("decomposable up to n_max"), never a claim for all n.
     """
     if n_max < 2:
         raise IndexRangeError("n_max must be at least 2")
@@ -420,6 +484,7 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     residuals: dict[Triple, Fraction] = {}
     cross: dict[Triple, Fraction] = {}
     witness: Optional[Triple] = None
+    certified_row = (n_max, max(2, (n_max + 1) // 2))
     for n in range(2, n_max + 1):
         for u in range(2, n + 1):
             row = _weak_residual_row(measure, n, u)
@@ -431,6 +496,8 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
                 if primary != 0 and witness is None:
                     _certify_witness(measure, triple, primary, weak)
                     witness = triple
+            if (n, u) == certified_row:
+                _certify_weak_row(measure, n, u, row)
     verdict = Verdict.NOT_DECOMPOSABLE if witness else Verdict.DECOMPOSABLE_UP_TO_N_MAX
     return DecomposabilityReport(
         n_max=n_max,

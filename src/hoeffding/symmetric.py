@@ -294,10 +294,17 @@ def symmetrize(f: BiSymmetricFunction) -> SymmetricFunction:
     return SymmetricFunction(tuple(values))
 
 
+# Largest arity of a statistic document: the arity bound of
+# ``project --statistic``, the same as the CLI's bound on --n and --max-n.
+MAX_STATISTIC_ARITY = 32
+
+
 def parse_statistic_spec(document: str) -> SymmetricFunction:
     """Parse a JSON statistic document: {"n": 2, "values": ["0", "0", "1"]}.
 
-    Values are indexed by zero count, rationals as "p/q" text.
+    Values are indexed by zero count, rationals as "p/q" text. Documents of
+    arity above ``MAX_STATISTIC_ARITY`` are refused before any value is
+    parsed.
     """
     try:
         payload = json.loads(document)
@@ -309,6 +316,8 @@ def parse_statistic_spec(document: str) -> SymmetricFunction:
     values = payload["values"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError("n must be a non-negative integer")
+    if n > MAX_STATISTIC_ARITY:
+        raise ParseError(f"--statistic arity must be at most {MAX_STATISTIC_ARITY}, got {n}")
     if not isinstance(values, list) or len(values) != n + 1:
         raise ParseError(f"values must be a list of exactly {n + 1} rationals")
     return SymmetricFunction(tuple(parse_rational(v) for v in values))

@@ -22,6 +22,7 @@ from hoeffding import (
 )
 from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, parse_report, render_report
 from hoeffding.measures import MAX_MOMENT_ORDER
+from hoeffding.symmetric import MAX_STATISTIC_ARITY
 from hoeffding.rationals import format_rational, parse_rational
 from conftest import twopoint, unif_half
 
@@ -416,6 +417,10 @@ class TestSizeBounds:
     def test_moment_order_bound_covers_max_order(self):
         # check --max-n MAX_ORDER reads moments up to order 2 * MAX_ORDER - 1
         assert MAX_MOMENT_ORDER == 2 * MAX_ORDER - 1
+
+    def test_statistic_arity_bound_is_the_order_bound(self):
+        # the --statistic help states MAX_ORDER; the parser enforces its own
+        assert MAX_STATISTIC_ARITY == MAX_ORDER
 
     @pytest.mark.parametrize(
         "document,accepted",

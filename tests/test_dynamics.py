@@ -28,7 +28,6 @@ from conftest import (
     dirac12,
     predictive_affinity_residual,
     sample_moment_region,
-    scan_classify,
     twopoint,
     unif_half,
 )
@@ -354,34 +353,30 @@ class TestClassify:
 
     def test_moment_route_runs_no_scan(self, monkeypatch):
         # a Beta law is settled by its moments, and a law departing from its
-        # Beta candidate past n_max by one certified residual
-        import hoeffding.dynamics
+        # Beta candidate past n_max by the one residual row of its witness
+        import hoeffding.engine
 
-        def no_scan(measure, n_max):
-            raise AssertionError("classify ran the full residual scan")
+        rows = []
+        numerators = hoeffding.engine._residual_numerators
 
-        monkeypatch.setattr(hoeffding.dynamics, "check_decomposable", no_scan)
+        def counted(measure, n, u):
+            rows.append((n, u))
+            return numerators(measure, n, u)
+
+        monkeypatch.setattr(hoeffding.engine, "_residual_numerators", counted)
         assert classify(beta23(), 6).kind is ClassificationKind.POLYA
+        assert rows == []
         assert classify(twopoint(), 3).witness == (3, 2, 0)
+        assert set(rows) == {(3, 2)}
 
-    def test_zero_candidate_residual_falls_back_to_the_scan(self, monkeypatch):
-        # were the first triple reading the mismatched moment zero, the full
-        # scan would decide; here it finds the same witness
+    def test_zero_candidate_residual_raises(self, monkeypatch):
+        # the first triple reading the mismatched moment has a nonzero
+        # residual, so a zero there is a library fault, not a verdict
         import hoeffding.dynamics
-
-        scans = []
-        scan = hoeffding.dynamics.check_decomposable
-
-        def counted_scan(measure, n_max):
-            scans.append(n_max)
-            return scan(measure, n_max)
 
         monkeypatch.setattr(hoeffding.dynamics, "_certified_residual", lambda *triple: F(0))
-        monkeypatch.setattr(hoeffding.dynamics, "check_decomposable", counted_scan)
-        result = classify(twopoint(), 3)
-        assert scans == [3]
-        assert result == scan_classify(twopoint(), 3)
-        assert result.witness == (3, 2, 0)
+        with pytest.raises(InternalError, match=r"residual at \(3, 2, 0\) vanishes"):
+            classify(twopoint(), 3)
 
     def test_short_truncation_inconclusive(self):
         reference = DeFinettiMeasure.beta(2, 2)

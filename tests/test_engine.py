@@ -36,6 +36,7 @@ from hoeffding import (
     lift_ustatistic,
     polya_projection_coefficients,
 )
+import hoeffding.engine as engine
 from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
@@ -496,8 +497,45 @@ class TestCheckDecomposable:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("witness residual at (3, 2, 0)")
 
+    def test_zeroed_residual_sum_raises_under_optimize(self):
+        # zero numerators make both routes vanish everywhere, so the scan
+        # finds no witness to certify; only the composed check of one whole
+        # weak row per scan can catch it, under python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from hoeffding import DeFinettiMeasure, InternalError, check_decomposable, engine
+            if __debug__:
+                sys.exit("not running under -O")
+            engine._residual_numerator = lambda ints, signed, n, u, z: 0
+            twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+            try:
+                check_decomposable(twopoint, 4)
+            except InternalError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("no InternalError raised")
+            """
+        )
+        result = run_optimized(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("weak row at (4, 2)")
+
+    def test_certified_weak_row_has_both_overlap_blocks(self, monkeypatch):
+        # the row checked against its composed definition is
+        # (n_max, max(2, (n_max+1)//2)): v = n-u and w = u-1 are both
+        # positive from n_max 3 on, so the k sum has two terms somewhere
+        certified = []
+        monkeypatch.setattr(
+            engine, "_certify_weak_row", lambda measure, n, u, row: certified.append((n, u))
+        )
+        for n_max in range(2, 9):
+            check_decomposable(beta11(), n_max)
+        assert certified == [(2, 2), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4), (8, 4)]
+
     def test_weak_witness_certificate_raises_under_optimize(self):
-        # doubling the fused weak row keeps the routes vanishing together,
+        # doubling the weak row keeps the routes vanishing together,
         # so only the weak witness certificate (the composed overlap
         # conditional of the canonical kernel) can catch it, in both
         # check_decomposable and classify's residual witness, under python -O
@@ -509,9 +547,9 @@ class TestCheckDecomposable:
                                    check_decomposable, classify, engine)
             if __debug__:
                 sys.exit("not running under -O")
-            fused = engine._weak_residual_row
+            weak_row = engine._weak_residual_row
             engine._weak_residual_row = lambda measure, n, u: SymmetricFunction(
-                tuple(2 * x for x in fused(measure, n, u).values))
+                tuple(2 * x for x in weak_row(measure, n, u).values))
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             for run in (lambda: check_decomposable(twopoint, 4), lambda: classify(twopoint, 3)):
                 try:

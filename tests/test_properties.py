@@ -16,9 +16,10 @@ residual routes must equal the ``Fraction`` oracles of ``conftest`` (the
 residual maps and the witness of ``check_decomposable``, the overlap
 conditional expectation and symmetrization on random statistics), raise
 the same error classes, and read integer and reciprocal rows that equal
-the configuration rows on their least common denominators. The fused
-weak-route row must equal the composed ``Fraction`` oracles of the
-canonical kernel's overlap conditional expectation, symmetrized, and
+the configuration rows on their least common denominators. The weak-route
+row, scaled from the primary residual numerators, must equal the composed
+``Fraction`` oracles of the canonical kernel's overlap conditional
+expectation, symmetrized, and
 ``classify`` must equal ``scan_classify``, its former full-scan route, on
 random laws and on Beta moment sequences perturbed past the compared
 moment orders. Discrete moments must equal the sum over atoms at every
@@ -347,7 +348,7 @@ def test_three_atom_law_equals_fraction_oracle():
     assert report.witness == witness == (2, 2, 0)
 
 
-def assert_fused_weak_rows_equal_fraction_oracle(measure, n):
+def assert_weak_rows_equal_fraction_oracle(measure, n):
     kernel = fraction_canonical_kernel(measure, n)
     for u in range(2, n + 1):
         expected = fraction_symmetrize(fraction_cond_expectation_overlap(kernel, measure, u))
@@ -356,14 +357,14 @@ def assert_fused_weak_rows_equal_fraction_oracle(measure, n):
 
 @SETTINGS
 @given(measure=measures, n=st.integers(2, 12))
-def test_fused_weak_row_equals_fraction_oracle(measure, n):
-    assert_fused_weak_rows_equal_fraction_oracle(measure, n)
+def test_weak_row_equals_fraction_oracle(measure, n):
+    assert_weak_rows_equal_fraction_oracle(measure, n)
 
 
-def test_fused_weak_rows_of_three_atom_law_equal_fraction_oracle():
+def test_weak_rows_of_three_atom_law_equal_fraction_oracle():
     measure = DeFinettiMeasure.discrete([(F(2, 7), F(1, 3)), (F(5, 11), F(1, 3)), (F(9, 10), F(1, 3))])
     for n in range(2, 13):
-        assert_fused_weak_rows_equal_fraction_oracle(measure, n)
+        assert_weak_rows_equal_fraction_oracle(measure, n)
 
 
 @st.composite

@@ -22,6 +22,7 @@ from hoeffding import (
     symmetrize,
 )
 from hoeffding.rationals import format_rational
+from hoeffding.symmetric import MAX_STATISTIC_ARITY
 from conftest import (
     degeneracy_residual,
     dirac12,
@@ -362,4 +363,11 @@ class TestStatisticDocuments:
     )
     def test_rejected(self, document):
         with pytest.raises(ParseError):
+            parse_statistic_spec(document)
+
+    def test_arity_bound_read_before_values(self):
+        # no value is a rational, so only the arity bound can be reported
+        arity = MAX_STATISTIC_ARITY + 1
+        document = json.dumps({"n": arity, "values": ["x"] * (arity + 1)})
+        with pytest.raises(ParseError, match=f"arity must be at most {MAX_STATISTIC_ARITY}, got {arity}"):
             parse_statistic_spec(document)
