@@ -37,8 +37,8 @@ the reciprocal row:
 
 * the first nonzero residual of a scan, the reported witness, is
   certified on both routes: the primary value against its alternating sum
-  of ``conditional_zero_count`` quotients, the weak value against the
-  composed ``symmetrize(cond_expectation_overlap(
+  of ``conditional_zero_count`` quotients, the weak row holding it against
+  the composed ``symmetrize(cond_expectation_overlap(
   canonical_degenerate_kernel))``;
 * one whole weak row per scan is checked against that composed
   definition, so a fault that zeroes the sum, which leaves no witness to
@@ -362,8 +362,8 @@ def _weak_residual_row(
         weak(z) = G ints_n[0] t[z] / (C D_n g[z] C(n-1,z)),
 
     one ``Fraction`` per z. ``_certify_weak_row`` checks it against the
-    composed definition, which reads neither this sum nor the reciprocal
-    row.
+    composed definition, which reads neither these numerators nor the
+    reciprocal row.
     """
     measure.require_nondeterministic(n + u - 1)
     numerators, common = _residual_numerators(measure, n, u)
@@ -379,15 +379,6 @@ def _weak_residual_row(
     )
 
 
-def _composed_weak_row(
-    measure: DeFinettiMeasure, n: int, u: int
-) -> SymmetricFunction:
-    """The weak row by its definition: the canonical kernel's overlap
-    conditional expectation, symmetrized."""
-    kernel = canonical_degenerate_kernel(measure, n)
-    return symmetrize(cond_expectation_overlap(kernel, measure, u))
-
-
 def _require_routes_agree(triple: Triple, primary: Fraction, weak: Fraction) -> None:
     if (primary == 0) != (weak == 0):
         raise InternalError(
@@ -398,8 +389,10 @@ def _require_routes_agree(triple: Triple, primary: Fraction, weak: Fraction) -> 
 def _certify_weak_row(
     measure: DeFinettiMeasure, n: int, u: int, row: SymmetricFunction
 ) -> None:
-    """Check a whole weak row against its composed definition."""
-    composed = _composed_weak_row(measure, n, u)
+    """Check a whole weak row against its composed definition: the
+    canonical kernel's overlap conditional expectation, symmetrized."""
+    kernel = canonical_degenerate_kernel(measure, n)
+    composed = symmetrize(cond_expectation_overlap(kernel, measure, u))
     if row != composed:
         raise InternalError(
             f"weak row at {(n, u)} is {row.values}, "
@@ -408,11 +401,11 @@ def _certify_weak_row(
 
 
 def _certify_witness(
-    measure: DeFinettiMeasure, triple: Triple, primary: Fraction, weak: Fraction
+    measure: DeFinettiMeasure, triple: Triple, primary: Fraction, row: SymmetricFunction
 ) -> None:
-    """Check a nonzero residual pair against the definitions of both routes:
-    the primary value against its alternating sum, the weak value against
-    the composed overlap conditional of the canonical kernel."""
+    """Check a nonzero residual against the definitions of both routes:
+    the primary value against its alternating sum, and the weak row that
+    holds its weak value against the composed definition."""
     n, u, z = triple
     reference = _alternating_residual(measure, n, u, z)
     if primary != reference:
@@ -420,23 +413,18 @@ def _certify_witness(
             f"witness residual at {triple} is {primary}, "
             f"but its alternating sum is {reference}"
         )
-    composed = _composed_weak_row(measure, n, u)[z]
-    if weak != composed:
-        raise InternalError(
-            f"weak witness residual at {triple} is {weak}, "
-            f"but its composed definition gives {composed}"
-        )
+    _certify_weak_row(measure, n, u, row)
 
 
 def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fraction:
     """The residual at one triple, by both routes, certified as a scan
     certifies its witness when it is nonzero."""
     triple = (n, u, z)
-    weak = _weak_residual_row(measure, n, u)[z]
+    row = _weak_residual_row(measure, n, u)
     primary = decomposability_residual(measure, n, u, z)
-    _require_routes_agree(triple, primary, weak)
+    _require_routes_agree(triple, primary, row[z])
     if primary != 0:
-        _certify_witness(measure, triple, primary, weak)
+        _certify_witness(measure, triple, primary, row)
     return primary
 
 
@@ -469,9 +457,9 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
 
     The two routes must agree on which triples vanish (they do by
     construction of the weak row, so this catches only a weak row not
-    derived from the shared sum), the witness residuals must equal their
-    definitions (the alternating sum, and the composed overlap conditional
-    of the canonical kernel), and the weak row at
+    derived from the shared sum), the witness must equal its definitions
+    (the alternating sum, and for its whole weak row the composed overlap
+    conditional of the canonical kernel), and the weak row at
     (n_max, max(2, (n_max+1)//2)) must equal its composed definition; any
     failure raises ``InternalError``. That row has both overlap blocks
     nonempty once n_max >= 3, so every term of the residual sum enters it,
@@ -494,7 +482,7 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
                 cross[triple] = weak = row[z]
                 _require_routes_agree(triple, primary, weak)
                 if primary != 0 and witness is None:
-                    _certify_witness(measure, triple, primary, weak)
+                    _certify_witness(measure, triple, primary, row)
                     witness = triple
             if (n, u) == certified_row:
                 _certify_weak_row(measure, n, u, row)

@@ -564,4 +564,4 @@ class TestCheckDecomposable:
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert len(lines) == 2
-        assert all(line.startswith("weak witness residual at (3, 2, 0)") for line in lines)
+        assert all(line.startswith("weak row at (3, 2)") for line in lines)
