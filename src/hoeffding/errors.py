@@ -38,18 +38,20 @@ class ParseError(HoeffdingError, ValueError):
 
 
 class InvalidMomentSequenceError(ParseError):
-    """A moment sequence fails complete monotonicity.
+    """A moment sequence gives a negative configuration probability.
 
-    Carries the first violating pair ``(order, zeros)``: the configuration
-    probability of ``zeros`` zeros among ``order`` observations is negative.
+    Carries the first violating pair ``(order, zeros)`` in row order: the
+    probability of a fixed configuration with ``zeros`` zeros among
+    ``order`` observations is negative.
     """
 
     def __init__(self, order: int, zeros: int):
         self.order = order
         self.zeros = zeros
         super().__init__(
-            f"moment sequence is not completely monotone: the probability of "
-            f"{zeros} zeros among {order} observations is negative"
+            f"moment sequence gives a negative configuration probability: a fixed "
+            f"configuration with {zeros} zeros among {order} observations has "
+            f"probability below 0"
         )
 
 

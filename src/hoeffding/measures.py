@@ -26,20 +26,29 @@ row ``P_n(0..n)`` at a time by the marginalisation identity
 
     P_n(0) = mu_n,    P_n(j+1) = P_{n-1}(j) - P_n(j)
 
-(a length-(n-1) configuration extends by a one or a zero), one subtraction
-per entry. The identity ``P_{n-1}(j) = P_n(j) + P_n(j+1)`` also means a
-positive row n makes every lower row positive, so non-determinism up to
-order n is a test of row n alone, and once row n has passed every order up
-to n is answered without a scan.
+(a length-(n-1) configuration extends by a one or a zero). The identity
+``P_{n-1}(j) = P_n(j) + P_n(j+1)`` also means a positive row n makes every
+lower row positive, so non-determinism up to order n is a test of row n
+alone, and once row n has passed every order up to n is answered without
+a scan.
 
-Each row is also cached in two integer forms, read from
-:meth:`~DeFinettiMeasure.config_probability` so that they keep its index
-and order checks:
+The rows are built and cached as integers. The integer row
+``(ints, D_n)`` has ``D_n`` the lcm of the row's denominators and
+``ints[j] = P_n(j) * D_n``. Row n puts row n-1 and ``mu_n`` over
+``D_n = lcm(D_{n-1}, den mu_n)`` and takes one integer subtraction per
+entry. That is already the least common denominator of row n, so no gcd
+is taken: ``mu_n = P_n(0)`` and each ``P_{n-1}(j) = P_n(j) + P_n(j+1)``
+have denominators that divide the least one, which is therefore a
+multiple of ``D_{n-1}`` and of ``den mu_n``. By induction ``D_n`` is the
+lcm of the denominators of ``mu_0..mu_n``. Each new row is checked
+against total probability, ``sum_j C(n,j) ints[j] == D_n``, which
+catches a wrong scale or sign and raises ``InternalError``. Two forms
+are derived from the integer row:
 
-* the integer row ``(ints, D_n)``: ``D_n`` is the lcm of the row's
-  denominators and ``ints[j] = P_n(j) * D_n``;
 * the reciprocal row ``(r, L_n)``: ``L_n`` is the lcm of the row's
-  numerators and ``r[i] / L_n = 1 / P_n(i)``.
+  numerators and ``r[i] / L_n = 1 / P_n(i)``;
+* on demand, the ``Fraction`` row behind
+  :meth:`~DeFinettiMeasure.config_probability`.
 
 Sums over configuration probabilities then run as integer dot products
 with one ``Fraction`` per result. Every cache is a pure function of the
@@ -60,6 +69,7 @@ from typing import Optional
 from .errors import (
     DeterministicMeasureError,
     IndexRangeError,
+    InternalError,
     InvalidMomentSequenceError,
     OrderExceededError,
     ParseError,
@@ -140,9 +150,10 @@ class DeFinettiMeasure:
             raise InvalidMomentSequenceError(0, 0)
         measure = cls(kind=MeasureKind.MOMENTS, moment_values=vals)
         for n in range(len(vals)):
-            for j, value in enumerate(measure._row(n)):
-                if value < 0:
-                    raise InvalidMomentSequenceError(n, j)
+            ints, _ = measure._int_row(n)
+            if min(ints) < 0:
+                first = next(j for j, x in enumerate(ints) if x < 0)
+                raise InvalidMomentSequenceError(n, first)
         return measure
 
     @classmethod
@@ -245,54 +256,80 @@ class DeFinettiMeasure:
         return value
 
     def config_probability(self, n: int, zeros: int) -> Fraction:
-        """P(a fixed length-n configuration with the given zero count)."""
+        """P(a fixed length-n configuration with the given zero count).
+
+        Read from the ``Fraction`` row of order n, which is derived from the
+        integer row on the first such call and cached.
+        """
         if n < 0 or not 0 <= zeros <= n:
             raise IndexRangeError(f"need 0 <= zeros <= n, got n={n} zeros={zeros}")
         self._require_order(n)
         return self._row(n)[zeros]
 
     def _row(self, n: int) -> tuple[Fraction, ...]:
-        """``(P_n(0), ..., P_n(n))``, extending the cached rows up to order n."""
+        """``(P_n(0), ..., P_n(n))`` as ``Fraction``s, from the integer row."""
         row = self._rows.get(n)
         if row is not None:
             return row
-        start = n
-        while start > 0 and start - 1 not in self._rows:
-            start -= 1
-        row = self._rows[start - 1] if start else ()
-        for m in range(start, n + 1):
-            current = [self.moment(m)]
-            for j in range(m):
-                current.append(row[j] - current[j])
-            row = self._rows.setdefault(m, tuple(current))
-        return row
+        ints, common = self._int_row(n)
+        return self._rows.setdefault(n, tuple(Fraction(x, common) for x in ints))
 
     def _int_row(self, n: int) -> tuple[tuple[int, ...], int]:
         """``(ints, D_n)`` with ``ints[j] / D_n == P_n(j)`` and ``D_n`` the lcm
-        of the row's denominators."""
-        cached = self._int_rows.get(n)
+        of the row's denominators, extending the cached rows up to order n.
+
+        Each new row m is the marginalisation identity on integers over
+        ``D_m = lcm(D_{m-1}, den mu_m)``, checked against total probability
+        (see the module docstring).
+        """
+        rows = self._int_rows
+        cached = rows.get(n)
         if cached is not None:
             return cached
-        row = [self.config_probability(n, j) for j in range(n + 1)]
-        common = math.lcm(*(p.denominator for p in row))
-        ints = tuple(p.numerator * (common // p.denominator) for p in row)
-        return self._int_rows.setdefault(n, (ints, common))
+        if n < 0:
+            raise IndexRangeError("order must be non-negative")
+        self._require_order(n)
+        start = n
+        while start > 0 and start - 1 not in rows:
+            start -= 1
+        ints, common = rows[start - 1] if start else ((), 1)
+        for m in range(start, n + 1):
+            mu = self.moment(m)
+            scale = math.lcm(common, mu.denominator)
+            step = scale // common
+            entry = mu.numerator * (scale // mu.denominator)
+            current = [entry]
+            for x in ints:
+                entry = x * step - entry
+                current.append(entry)
+            total = sum(math.comb(m, j) * x for j, x in enumerate(current))
+            if total != scale:
+                raise InternalError(
+                    f"configuration row {m} has total probability {total}/{scale}, not 1"
+                )
+            ints, common = rows.setdefault(m, (tuple(current), scale))
+        return ints, common
 
     def _reciprocal_row(self, n: int) -> tuple[tuple[int, ...], int]:
         """``(r, L_n)`` with ``r[i] / L_n == 1 / P_n(i)`` and ``L_n`` the lcm of
-        the row's numerators."""
+        the row's numerators, read from the integer row: one gcd per entry
+        puts ``P_n(i) = ints[i] / D_n`` in lowest terms."""
         cached = self._reciprocal_rows.get(n)
         if cached is not None:
             return cached
-        row = [self.config_probability(n, i) for i in range(n + 1)]
-        for i, p in enumerate(row):
-            if p == 0:
+        ints, common = self._int_row(n)
+        numerators, denominators = [], []
+        for i, x in enumerate(ints):
+            if x == 0:
                 raise DeterministicMeasureError(
                     f"conditioning event has probability zero (n={n}, zeros={i})"
                 )
-        common = math.lcm(*(p.numerator for p in row))
-        r = tuple(p.denominator * (common // p.numerator) for p in row)
-        return self._reciprocal_rows.setdefault(n, (r, common))
+            g = math.gcd(x, common)
+            numerators.append(x // g)
+            denominators.append(common // g)
+        least = math.lcm(*numerators)
+        r = tuple(d * (least // p) for p, d in zip(numerators, denominators))
+        return self._reciprocal_rows.setdefault(n, (r, least))
 
     # -- conditional and predictive probabilities ------------------------
 
@@ -334,7 +371,8 @@ class DeFinettiMeasure:
         verified = self._positive_order
         if n_max <= verified[0]:
             return True
-        if not all(value > 0 for value in self._row(n_max)):
+        ints, _ = self._int_row(n_max)
+        if min(ints) <= 0:
             return False
         # a racing store may leave a lower verified order in place, which
         # costs a later rescan and never a wrong answer

@@ -79,10 +79,22 @@ class SplitMix64:
         return (self.next_word() >> 11) * 2.0**-53
 
 
+# (seed, sha256 of "<seed>/") of the latest experiment. The pair is replaced
+# whole and the hash is never updated: each trial hashes on from a copy.
+_seed_prefix: tuple = (object(), None)
+
+
 def trial_stream(seed: int, trial: int) -> SplitMix64:
-    """The independent stream assigned to one trial of one experiment."""
-    digest = hashlib.sha256(f"{seed}/{trial}".encode("ascii")).digest()
-    return SplitMix64(int.from_bytes(digest[:8], "big"))
+    """The independent stream assigned to one trial of one experiment: the
+    first 8 bytes of sha256("<seed>/<trial>")."""
+    global _seed_prefix
+    held, prefix = _seed_prefix
+    if held != seed or type(held) is not type(seed):
+        prefix = hashlib.sha256(f"{seed}/".encode("ascii"))
+        _seed_prefix = (seed, prefix)
+    digest = prefix.copy()
+    digest.update(str(trial).encode("ascii"))
+    return SplitMix64(int.from_bytes(digest.digest()[:8], "big"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Shared test measures, configuration-probability oracles, the
-``Fraction`` residual-route oracles, brute-force enumeration oracles, the
-Gram oracle, ``scan_classify`` (classification by the full residual
-scan), the ``Fraction`` layer-path oracles (the Stieltjes recurrence,
-the inner product, the lift and the prefix conditional expectation), the
-per-bit sampling oracle, and the scaffolding only tests use: the two-term
-degeneracy residual, the affine-predictive helpers and the moment-region
-sampler.
+"""Shared test measures, configuration-probability oracles (among them
+``fraction_rows``, the marginalisation recurrence in ``Fraction``
+arithmetic), the ``Fraction`` residual-route oracles, brute-force
+enumeration oracles, the Gram oracle, ``scan_classify`` (classification
+by the full residual scan), the ``Fraction`` layer-path oracles (the
+Stieltjes recurrence, the inner product, the lift and the prefix
+conditional expectation), the per-bit sampling oracle, and the
+scaffolding only tests use: the two-term degeneracy residual, the
+affine-predictive helpers, the moment-region sampler and
+``run_optimized`` (a script under ``python -O``).
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
@@ -17,13 +19,17 @@ only the specified generator (``trial_stream`` and ``SplitMix64.random``)
 and compares float uniforms with float probabilities, bit by bit.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
 
+import hoeffding
 from hoeffding import (
     ArityMismatchError,
     Classification,
@@ -104,6 +110,20 @@ def decomposable_measure(request):
 # ---------------------------------------------------------------------------
 # configuration-probability oracles: per-kind closed forms, alternating sums
 # ---------------------------------------------------------------------------
+
+
+def fraction_rows(measure, n):
+    """Rows ``P_0..P_n`` by the marginalisation identity in ``Fraction``
+    arithmetic, ``P_m(0) = mu_m`` and ``P_m(j+1) = P_{m-1}(j) - P_m(j)``,
+    one subtraction (and one gcd) per entry."""
+    rows, row = [], ()
+    for m in range(n + 1):
+        current = [measure.moment(m)]
+        for j in range(m):
+            current.append(row[j] - current[j])
+        row = tuple(current)
+        rows.append(row)
+    return rows
 
 
 def closed_form_config_probability(measure, n, j) -> Fraction:
@@ -754,3 +774,18 @@ def sample_moment_region(count, seed=DEFAULT_REGION_SEED, max_denominator=10**6)
         x, y, z = sorted(draws)
         triples.append((x, y, z))
     return triples
+
+
+# ---------------------------------------------------------------------------
+# checks that must survive python -O
+# ---------------------------------------------------------------------------
+
+
+def run_optimized(script):
+    """Run a Python script under ``python -O`` against this source tree."""
+    source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )

@@ -8,10 +8,7 @@ as NOT matching), and the residual routes must agree with enumeration and
 with each other through the exact proportionality identity.
 """
 
-import os
 import random
-import subprocess
-import sys
 import textwrap
 from fractions import Fraction
 
@@ -48,6 +45,7 @@ from conftest import (
     in_span,
     published_polya_coefficients,
     rank,
+    run_optimized,
     solve,
     twopoint,
     unif_half,
@@ -55,18 +53,6 @@ from conftest import (
 )
 
 F = Fraction
-
-
-def run_optimized(script):
-    """Run a Python script under ``python -O`` against this source tree."""
-    import hoeffding
-
-    source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
 
 
 def random_function(n, rng):

@@ -1,6 +1,7 @@
 """Measure representations: moments, configuration and conditional
 probabilities, non-determinism, document parsing."""
 
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,21 @@ from hoeffding import (
     MeasureKind,
     OrderExceededError,
     ParseError,
+    check_decomposable,
+    classify,
     parse_measure_spec,
 )
 from conftest import (
     all_measures,
+    beta11,
+    beta23,
+    beta32,
     config_probability_oracle,
     enum_conditional_zero_count,
     enum_config_probability,
+    dirac12,
+    dirac13,
+    run_optimized,
     twopoint,
     unif_half,
 )
@@ -117,6 +126,61 @@ class TestConfigProbability:
             m.config_probability(2, 3)
         with pytest.raises(IndexRangeError):
             m.config_probability(2, -1)
+
+
+class TestRowCaches:
+    """The residual routes read integer rows only: a ``Fraction`` row is
+    built for the alternating sum of a witness and for nothing else."""
+
+    @pytest.mark.parametrize("factory", [beta11, beta32, beta23, dirac12, dirac13])
+    @pytest.mark.parametrize("verb", [check_decomposable, classify])
+    def test_decomposable_laws_build_no_fraction_row(self, factory, verb):
+        measure = factory()
+        verb(measure, 8)
+        assert measure._int_rows and not measure._rows
+
+    @pytest.mark.parametrize("verb", [check_decomposable, classify])
+    def test_witness_builds_only_its_own_rows(self, verb):
+        measure = twopoint()
+        n, u, _ = verb(measure, 3).witness
+        assert set(measure._rows) == {n, n + u - 1}
+
+    def test_total_probability_check_raises_under_optimize(self):
+        # a row put over the moment's denominator alone, without the
+        # rescale of the row below, and a moment sequence with mu_0 = 2
+        # both break sum_j C(n,j) P_n(j) = 1; the check must survive -O
+        script = textwrap.dedent(
+            """
+            import math, sys, types
+            from fractions import Fraction as F
+            from hoeffding import DeFinettiMeasure, InternalError, measures
+            if __debug__:
+                sys.exit("not running under -O")
+
+            def expect_internal_error(run):
+                try:
+                    run()
+                except InternalError as exc:
+                    print(exc)
+                else:
+                    sys.exit("no InternalError raised")
+
+            real_math = measures.math
+            measures.math = types.SimpleNamespace(
+                gcd=math.gcd, comb=math.comb, lcm=lambda common, denominator: denominator)
+            expect_internal_error(lambda: DeFinettiMeasure.truncated_uniform(F(1, 2), 6))
+            measures.math = real_math
+            beta = DeFinettiMeasure.beta(2, 3)
+            beta._moments[0] = F(2)
+            expect_internal_error(lambda: beta.is_nondeterministic(4))
+            """
+        )
+        result = run_optimized(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "configuration row 3 has total probability 24/32, not 1",
+            "configuration row 0 has total probability 2/1, not 1",
+        ]
 
 
 class TestConditionalZeroCount:

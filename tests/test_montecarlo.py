@@ -84,6 +84,13 @@ class TestGenerator:
         states = {trial_stream(7, i).state for i in range(100)}
         assert len(states) == 100
 
+    def test_trial_streams_follow_their_definition_across_seeds(self):
+        # the hashed "<seed>/" prefix is cached per seed; interleaved seeds
+        # must still give the first 8 bytes of sha256("<seed>/<trial>")
+        for seed, trial in [(7, 0), (8, 0), (7, 1), (-3, 12), (2**70, 5), (7, 10**6)]:
+            digest = hashlib.sha256(f"{seed}/{trial}".encode("ascii")).digest()
+            assert trial_stream(seed, trial).state == int.from_bytes(digest[:8], "big")
+
 
 class TestIntegerLimit:
     @pytest.mark.parametrize(

@@ -5,8 +5,13 @@ three atoms in (0, 1), or in [0, 1] where endpoint atoms are allowed, are
 drawn by hypothesis. The configuration-probability rows must equal the
 closed-form and alternating-sum oracles of ``conftest``, the one-row
 non-determinism test must equal the full scan, and moment validation must
-reject at the scan's first negative entry, and the enumeration oracles must
-equal the rows and their conditional quotients. The recurrence layers must
+reject at the scan's first negative entry, on short random sequences and
+on long perturbed moment sequences, and the enumeration oracles must
+equal the rows and their conditional quotients. The integer and
+reciprocal rows, filled in random order up to order 63, must equal the
+oracle rows on their least common denominators, and the ``Fraction`` row
+derived from them must equal ``fraction_rows``, the recurrence by
+``Fraction`` subtraction. The recurrence layers must
 equal the Gram-matrix oracle exactly, the inclusion-exclusion projection of
 a Dirac law must equal its layers, the subspace route must agree with the
 residual route level by level, and the two residual maps of
@@ -84,6 +89,7 @@ from conftest import (
     fraction_inner_product,
     fraction_lift_ustatistic,
     fraction_orthogonal_polynomials,
+    fraction_rows,
     fraction_symmetrize,
     gram_decomposition,
     nondeterminism_scan,
@@ -288,8 +294,20 @@ def test_one_row_nondeterminism_equals_full_scan(measure, n_max):
     assert measure.is_nondeterministic(n_max) == nondeterminism_scan(measure, n_max)
 
 
+@st.composite
+def long_moment_sequences(draw):
+    """A random law's moments up to order 12..24 with one of them shifted
+    by a small amount, so the first negative entry can lie rows past the
+    shifted order, in rows with large common denominators."""
+    law = draw(closed_form_laws)
+    values = [law.moment(k) for k in range(draw(st.integers(12, 24)) + 1)]
+    index = draw(st.integers(1, len(values) - 1))
+    values[index] += F(draw(st.integers(-3, 3)), 2 ** draw(st.integers(4, 40)))
+    return values
+
+
 @SETTINGS
-@given(values=moment_sequences())
+@given(values=st.one_of(moment_sequences(), long_moment_sequences()))
 def test_from_moments_rejects_at_first_negative_entry(values):
     expected = first_negative_configuration(values)
     if expected is None:
@@ -657,6 +675,26 @@ def integer_rows_oracle(row):
         tuple(p.denominator * (reciprocal_common // p.numerator) for p in row),
         reciprocal_common,
     )
+
+@SETTINGS
+@given(
+    measure=st.one_of(
+        beta_laws(),
+        discrete_laws(st.one_of(st.sampled_from([F(0), F(1)]), unit_rationals())),
+        moment_laws(max_order=63),
+    ),
+    orders=st.lists(st.integers(0, 63), min_size=1, max_size=3),
+)
+def test_integer_rows_equal_oracle_rows(measure, orders):
+    # the orders come in random sequence, so the integer-row cache extends
+    # from the highest cached order in random steps
+    cap = measure.max_order
+    for n in (orders if cap is None else [min(n, cap) for n in orders]):
+        row = [config_probability_oracle(measure, n, j) for j in range(n + 1)]
+        int_row, reciprocal_row = integer_rows_oracle(row)
+        assert measure._int_row(n) == int_row
+        assert outcome(measure._reciprocal_row, n) == reciprocal_row
+        assert list(measure._row(n)) == row == list(fraction_rows(measure, n)[n])
 
 
 @pytest.mark.parametrize(
