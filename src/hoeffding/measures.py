@@ -64,6 +64,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .errors import (
@@ -216,15 +217,24 @@ class DeFinettiMeasure:
 
     def _beta_moment(self, n: int) -> Fraction:
         """mu_n = mu_{n-1} (alpha+n-1)/(alpha+beta+n-1), extending the cached
-        moments up to order n: one multiplication per new order."""
+        moments up to order n.
+
+        With alpha = p/q and beta = r/s the factor is the integer quotient
+        (p + (m-1) q) s / (p s + r q + (m-1) q s), so each new order costs
+        two integer products and one ``Fraction``.
+        """
         start = n
         while start > 0 and start - 1 not in self._moments:
             start -= 1
         value = self._moments[start - 1] if start else Fraction(1)
-        a, b = self.beta_alpha, self.beta_beta
+        p, q = self.beta_alpha.numerator, self.beta_alpha.denominator
+        r, s = self.beta_beta.numerator, self.beta_beta.denominator
         for m in range(start, n + 1):
             if m:
-                value = value * (a + m - 1) / (a + b + m - 1)
+                value = Fraction(
+                    value.numerator * (p + (m - 1) * q) * s,
+                    value.denominator * (p * s + r * q + (m - 1) * q * s),
+                )
             value = self._moments.setdefault(m, value)
         return value
 
@@ -295,19 +305,19 @@ class DeFinettiMeasure:
         ints, common = rows[start - 1] if start else ((), 1)
         for m in range(start, n + 1):
             mu = self.moment(m)
-            scale = math.lcm(common, mu.denominator)
-            step = scale // common
-            entry = mu.numerator * (scale // mu.denominator)
+            denominator = math.lcm(common, mu.denominator)
+            step = denominator // common
+            entry = mu.numerator * (denominator // mu.denominator)
             current = [entry]
             for x in ints:
                 entry = x * step - entry
                 current.append(entry)
-            total = sum(math.comb(m, j) * x for j, x in enumerate(current))
-            if total != scale:
+            total = sum(map(int.__mul__, map(math.comb, repeat(m), range(m + 1)), current))
+            if total != denominator:
                 raise InternalError(
-                    f"configuration row {m} has total probability {total}/{scale}, not 1"
+                    f"configuration row {m} has total probability {total}/{denominator}, not 1"
                 )
-            ints, common = rows.setdefault(m, (tuple(current), scale))
+            ints, common = rows.setdefault(m, (tuple(current), denominator))
         return ints, common
 
     def _reciprocal_row(self, n: int) -> tuple[tuple[int, ...], int]:
@@ -367,10 +377,11 @@ class DeFinettiMeasure:
         """
         if n_max < 0:
             raise IndexRangeError("n_max must be non-negative")
-        self._require_order(n_max)
         verified = self._positive_order
+        # a verified order has passed the order check
         if n_max <= verified[0]:
             return True
+        self._require_order(n_max)
         ints, _ = self._int_row(n_max)
         if min(ints) <= 0:
             return False
