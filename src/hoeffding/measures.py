@@ -152,9 +152,9 @@ class DeFinettiMeasure:
         measure = cls(kind=MeasureKind.MOMENTS, moment_values=vals)
         for n in range(len(vals)):
             ints, _ = measure._int_row(n)
-            if min(ints) < 0:
-                first = next(j for j, x in enumerate(ints) if x < 0)
-                raise InvalidMomentSequenceError(n, first)
+            for j, x in enumerate(ints):
+                if x < 0:
+                    raise InvalidMomentSequenceError(n, j)
         return measure
 
     @classmethod

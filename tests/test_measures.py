@@ -24,10 +24,10 @@ from conftest import (
     beta23,
     beta32,
     config_probability_oracle,
-    enum_conditional_zero_count,
-    enum_config_probability,
     dirac12,
     dirac13,
+    enum_conditional_zero_count,
+    enum_config_probability,
     run_optimized,
     twopoint,
     unif_half,

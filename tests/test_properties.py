@@ -676,6 +676,7 @@ def integer_rows_oracle(row):
         reciprocal_common,
     )
 
+
 @SETTINGS
 @given(
     measure=st.one_of(
