@@ -219,9 +219,9 @@ class DeFinettiMeasure:
         """mu_n = mu_{n-1} (alpha+n-1)/(alpha+beta+n-1), extending the cached
         moments up to order n.
 
-        With alpha = p/q and beta = r/s the factor is the integer quotient
-        (p + (m-1) q) s / (p s + r q + (m-1) q s), so each new order costs
-        two integer products and one ``Fraction``.
+        With alpha = p/q and beta = r/s the factor of order m is the
+        quotient of integers (p + (m-1) q) s / (p s + r q + (m-1) q s), so
+        each new order costs two integer products and one ``Fraction``.
         """
         start = n
         while start > 0 and start - 1 not in self._moments:
