@@ -26,20 +26,20 @@ The two residual routes are tied by the exact identity
 
     weak(n,u,z) * C(n-1,z) * P_{n-1}(z zeros) = residual(n,u,z) * P_n(0 zeros)
 
-so they vanish simultaneously. Both routes run on one integer sum: the
-residuals of a row (n, u) are integer numerators over the common
-denominator of the integer row of order n+u-1 and the reciprocal row of
-order n (see :mod:`hoeffding.measures`), computed once, and the weak row
-is those numerators scaled by the identity, one ``Fraction`` per value.
-So the two routes agree by construction, and their independent checks
-are against the definitions, in code that reads neither that sum nor
-the reciprocal row:
+so they vanish simultaneously. A scan computes each row (n, u) once, as
+integer numerators over the common denominator of the integer row of
+order n+u-1 and the reciprocal row of order n (see
+:mod:`hoeffding.measures`), and passes it by value: the residuals are
+those numerators over that denominator, and the weak row is the same
+numerators scaled by the identity, one ``Fraction`` per value. The checks
+are against the definitions, in code that reads neither that sum nor the
+reciprocal row:
 
 * the first nonzero residual of a scan, the reported witness, is
-  certified on both routes: the primary value against its alternating sum
-  of ``conditional_zero_count`` quotients, the weak row holding it against
-  the composed ``symmetrize(cond_expectation_overlap(
-  canonical_degenerate_kernel))``;
+  certified on both routes: its value against ``decomposability_residual``,
+  the public definition (the alternating sum of ``conditional_zero_count``
+  quotients), and the weak row holding it against the composed
+  ``symmetrize(cond_expectation_overlap(canonical_degenerate_kernel))``;
 * one whole weak row per scan is checked against that composed
   definition, so a fault that zeroes the sum, which leaves no witness to
   certify, still raises.
@@ -51,7 +51,6 @@ quantify over every n >= 2, and this module scans only n <= n_max.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -139,23 +138,15 @@ def degenerate_kernel_basis(measure: DeFinettiMeasure, n: int) -> list[Symmetric
     n-1 gives the bidiagonal system
 
         phi(j) P_n(j) / P_{n-1}(j) + phi(j+1) P_n(j+1) / P_{n-1}(j) = 0,
-        j = 0..n-1,
+        j = 0..n-1.
 
-    solved by forward substitution from phi(0) = 1. For a non-deterministic
-    measure every coefficient is positive, so the completely degenerate
-    kernels of order n form a line and the returned basis is the canonical
+    For a non-deterministic measure every coefficient is positive, so
+    equation j fixes phi(j+1) / phi(j) = -P_n(j) / P_n(j+1), the solutions
+    form a line, and the canonical kernel, whose consecutive values have
+    exactly that ratio, spans it. The returned basis is the canonical
     kernel (normalized to value 1 on the all-ones configuration).
     """
-    if n < 1:
-        raise IndexRangeError("arity must be at least 1")
-    measure.require_nondeterministic(n)
-    values = [Fraction(1)]
-    for j in range(n):
-        given = measure.config_probability(n - 1, j)
-        one = measure.config_probability(n, j) / given
-        zero = measure.config_probability(n, j + 1) / given
-        values.append(-values[j] * one / zero)
-    return [SymmetricFunction(tuple(values))]
+    return [canonical_degenerate_kernel(measure, n)]
 
 
 def hoeffding_decomposition(
@@ -258,10 +249,11 @@ def decomposability_residual(
         sum_k (-1)^k C(n-u, k) sum_m (-1)^m C(u, m) P(m+z | m+k),
 
     with P(b | a) = C(u-1, b-a) P_{n+u-1}(b zeros) / P_n(a zeros) the
-    conditional zero-count probability. It is one integer numerator over
-    the common denominator of the integer row of order n+u-1 and the
-    reciprocal row of order n, read from the latest residual row when
-    that is the row (n, u).
+    conditional zero-count probability, evaluated term by term, one
+    ``Fraction`` per term. This is the definition that a scan certifies
+    its witness against. Callers that need many triples should use
+    ``check_decomposable``, which computes each row (n, u) once on
+    integers.
     """
     if n < 2:
         raise IndexRangeError("n must be at least 2")
@@ -270,70 +262,6 @@ def decomposability_residual(
     if not 0 <= z <= n - 1:
         raise IndexRangeError(f"need 0 <= z <= n-1, got z={z} n={n}")
     measure.require_nondeterministic(n + u - 1)
-    held, key, numerators, common = _latest_row
-    if held() is measure and key == (n, u):
-        return Fraction(numerators[z], common)
-    ints, signed, common = _residual_rows(measure, n, u)
-    return Fraction(_residual_numerator(ints, signed, n, u, z), common)
-
-
-def _residual_rows(
-    measure: DeFinettiMeasure, n: int, u: int
-) -> tuple[tuple[int, ...], list[int], int]:
-    """``(I, s, C)``: the integer row of order n+u-1, the reciprocal row
-    of order n with the sign (-1)^i folded in, and the common denominator
-    C = D_{n+u-1} L_n of the residuals (n, u, z)."""
-    ints, common = measure._int_row(n + u - 1)
-    reciprocals, reciprocal_common = measure._reciprocal_row(n)
-    signed = [r if i % 2 == 0 else -r for i, r in enumerate(reciprocals)]
-    return ints, signed, common * reciprocal_common
-
-
-def _residual_numerator(ints, signed, n: int, u: int, z: int) -> int:
-    """The residual at (n, u, z) times C, over ``_residual_rows``:
-
-        t[z] = sum_k C(n-u,k) C(u-1,z-k) sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m].
-    """
-    v, w = n - u, u - 1
-    window = [math.comb(u, m) * x for m, x in enumerate(ints[z : z + u + 1])]
-    return sum(
-        math.comb(v, k)
-        * math.comb(w, z - k)
-        * sum(map(int.__mul__, window, signed[k : k + u + 1]))
-        for k in range(max(0, z - w), min(z, v) + 1)
-    )
-
-
-# (measure reference, (n, u), numerators, common) of the latest residual
-# row: a scan reads each row once for the weak route and once per z for
-# the primary one
-_latest_row: tuple = (lambda: None, None, (), 1)
-
-
-def _residual_numerators(
-    measure: DeFinettiMeasure, n: int, u: int
-) -> tuple[tuple[int, ...], int]:
-    """``(t, C)`` with ``t[z] / C`` the residual at (n, u, z), z = 0..n-1.
-
-    The row is kept as the latest, so ``decomposability_residual`` reads
-    it instead of summing again. Callers check non-determinism up to
-    order n+u-1 first.
-    """
-    global _latest_row
-    held, key, numerators, common = _latest_row
-    if held() is measure and key == (n, u):
-        return numerators, common
-    ints, signed, common = _residual_rows(measure, n, u)
-    numerators = tuple(_residual_numerator(ints, signed, n, u, z) for z in range(n))
-    _latest_row = (weakref.ref(measure), (n, u), numerators, common)
-    return numerators, common
-
-
-def _alternating_residual(
-    measure: DeFinettiMeasure, n: int, u: int, z: int
-) -> Fraction:
-    """The residual at (n, u, z) by its defining alternating sum of
-    ``conditional_zero_count`` quotients, one ``Fraction`` per term."""
     total = Fraction(0)
     for k in range(max(0, z - (u - 1)), min(z, n - u) + 1):
         inner = sum(
@@ -349,8 +277,38 @@ def _alternating_residual(
     return total
 
 
-def _weak_residual_row(
+def _residual_numerators(
     measure: DeFinettiMeasure, n: int, u: int
+) -> tuple[list[int], int]:
+    """``(t, C)`` with ``t[z] / C`` the residual at (n, u, z), z = 0..n-1.
+
+    With the integer row ``(I, D)`` of order n+u-1 and the reciprocal row
+    ``(r, L)`` of order n, C = D L and
+
+        t[z] = sum_k C(n-u,k) C(u-1,z-k) sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m].
+
+    Callers check non-determinism up to order n+u-1 first.
+    """
+    ints, common = measure._int_row(n + u - 1)
+    reciprocals, reciprocal_common = measure._reciprocal_row(n)
+    signed = [r if i % 2 == 0 else -r for i, r in enumerate(reciprocals)]
+    v, w = n - u, u - 1
+    numerators = []
+    for z in range(n):
+        window = [math.comb(u, m) * x for m, x in enumerate(ints[z : z + u + 1])]
+        numerators.append(
+            sum(
+                math.comb(v, k)
+                * math.comb(w, z - k)
+                * sum(map(int.__mul__, window, signed[k : k + u + 1]))
+                for k in range(max(0, z - w), min(z, v) + 1)
+            )
+        )
+    return numerators, common * reciprocal_common
+
+
+def _weak_residual_row(
+    measure: DeFinettiMeasure, n: int, u: int, numerators: list[int], common: int
 ) -> SymmetricFunction:
     """Symmetrized overlap conditional of the canonical kernel, all z at once.
 
@@ -365,8 +323,6 @@ def _weak_residual_row(
     composed definition, which reads neither these numerators nor the
     reciprocal row.
     """
-    measure.require_nondeterministic(n + u - 1)
-    numerators, common = _residual_numerators(measure, n, u)
     given, given_common = measure._int_row(n - 1)
     order_n, order_n_common = measure._int_row(n)
     scale = given_common * order_n[0]
@@ -377,13 +333,6 @@ def _weak_residual_row(
             for z, t in enumerate(numerators)
         )
     )
-
-
-def _require_routes_agree(triple: Triple, primary: Fraction, weak: Fraction) -> None:
-    if (primary == 0) != (weak == 0):
-        raise InternalError(
-            f"residual routes disagree at {triple}: {primary} vs {weak}"
-        )
 
 
 def _certify_weak_row(
@@ -404,10 +353,10 @@ def _certify_witness(
     measure: DeFinettiMeasure, triple: Triple, primary: Fraction, row: SymmetricFunction
 ) -> None:
     """Check a nonzero residual against the definitions of both routes:
-    the primary value against its alternating sum, and the weak row that
-    holds its weak value against the composed definition."""
+    the primary value against ``decomposability_residual``, and the weak
+    row that holds its weak value against the composed definition."""
     n, u, z = triple
-    reference = _alternating_residual(measure, n, u, z)
+    reference = decomposability_residual(measure, n, u, z)
     if primary != reference:
         raise InternalError(
             f"witness residual at {triple} is {primary}, "
@@ -417,14 +366,14 @@ def _certify_witness(
 
 
 def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fraction:
-    """The residual at one triple, by both routes, certified as a scan
-    certifies its witness when it is nonzero."""
-    triple = (n, u, z)
-    row = _weak_residual_row(measure, n, u)
-    primary = decomposability_residual(measure, n, u, z)
-    _require_routes_agree(triple, primary, row[z])
-    if primary != 0:
-        _certify_witness(measure, triple, primary, row)
+    """The residual at one triple, read from its row and certified on both
+    routes, as a scan certifies its witness, when it is nonzero."""
+    measure.require_nondeterministic(n + u - 1)
+    numerators, common = _residual_numerators(measure, n, u)
+    primary = Fraction(numerators[z], common)
+    if primary:
+        row = _weak_residual_row(measure, n, u, numerators, common)
+        _certify_witness(measure, (n, u, z), primary, row)
     return primary
 
 
@@ -455,13 +404,13 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
 def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> DecomposabilityReport:
     """Scan all triples up to n_max through both residual routes.
 
-    The two routes must agree on which triples vanish (they do by
-    construction of the weak row, so this catches only a weak row not
-    derived from the shared sum), the witness must equal its definitions
-    (the alternating sum, and for its whole weak row the composed overlap
-    conditional of the canonical kernel), and the weak row at
-    (n_max, max(2, (n_max+1)//2)) must equal its composed definition; any
-    failure raises ``InternalError``. That row has both overlap blocks
+    Each row (n, u) is computed once on integers (``_residual_numerators``)
+    and gives both routes. The witness must equal its definitions: its
+    value the public ``decomposability_residual``, the alternating sum of
+    conditional zero-count probabilities, and its whole weak row the
+    composed overlap conditional of the canonical kernel. The weak row at
+    (n_max, max(2, (n_max+1)//2)) must equal its composed definition too;
+    any failure raises ``InternalError``. That row has both overlap blocks
     nonempty once n_max >= 3, so every term of the residual sum enters it,
     and it is checked whether or not the scan finds a witness. The verdict
     is bounded ("decomposable up to n_max"), never a claim for all n.
@@ -475,14 +424,14 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     certified_row = (n_max, max(2, (n_max + 1) // 2))
     for n in range(2, n_max + 1):
         for u in range(2, n + 1):
-            row = _weak_residual_row(measure, n, u)
-            for z in range(n):
+            numerators, common = _residual_numerators(measure, n, u)
+            row = _weak_residual_row(measure, n, u, numerators, common)
+            for z, t in enumerate(numerators):
                 triple = (n, u, z)
-                residuals[triple] = primary = decomposability_residual(measure, n, u, z)
-                cross[triple] = weak = row[z]
-                _require_routes_agree(triple, primary, weak)
-                if primary != 0 and witness is None:
-                    _certify_witness(measure, triple, primary, row)
+                residuals[triple] = Fraction(t, common)
+                cross[triple] = row[z]
+                if t and witness is None:
+                    _certify_witness(measure, triple, residuals[triple], row)
                     witness = triple
             if (n, u) == certified_row:
                 _certify_weak_row(measure, n, u, row)

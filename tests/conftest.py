@@ -1,6 +1,7 @@
 """Shared test measures, configuration-probability oracles (among them
 ``fraction_rows``, the marginalisation recurrence in ``Fraction``
-arithmetic), the ``Fraction`` residual-route oracles, brute-force
+arithmetic), the ``Fraction`` residual-route oracles, the degenerate
+kernel by forward substitution, brute-force
 enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
@@ -245,6 +246,23 @@ def fraction_canonical_kernel(measure, n):
     return SymmetricFunction(
         tuple((-1) ** k * top / measure.config_probability(n, k) for k in range(n + 1))
     )
+
+
+def forward_substitution_kernel_basis(measure, n):
+    """The completely degenerate kernels of order n: the bidiagonal system
+
+        phi(j) P_n(j) / P_{n-1}(j) + phi(j+1) P_n(j+1) / P_{n-1}(j) = 0,
+        j = 0..n-1,
+
+    solved by forward substitution from phi(0) = 1."""
+    measure.require_nondeterministic(n)
+    values = [F(1)]
+    for j in range(n):
+        given = measure.config_probability(n - 1, j)
+        one = measure.config_probability(n, j) / given
+        zero = measure.config_probability(n, j + 1) / given
+        values.append(-values[j] * one / zero)
+    return [SymmetricFunction(tuple(values))]
 
 
 def fraction_check_decomposable(measure, n_max):

@@ -42,6 +42,7 @@ from conftest import (
     DEFAULT_Z_THRESHOLD,
     all_measures,
     decomposable_measures,
+    forward_substitution_kernel_basis,
     gram_decomposition,
     predictive_affinity_residual,
     published_polya_coefficients,
@@ -137,7 +138,7 @@ def test_criterion_03_degenerate_kernel_space():
         for n in range(1, 9):
             basis = degenerate_kernel_basis(measure, n)
             assert len(basis) == 1
-            assert basis[0] == canonical_degenerate_kernel(measure, n)
+            assert basis == forward_substitution_kernel_basis(measure, n)
     assert canonical_degenerate_kernel(
         DeFinettiMeasure.beta(1, 1), 3
     ).values == (1, -3, 3, -1)

@@ -1,6 +1,7 @@
 """The public surface of the package: the pinned ``__all__``, the names the
-package imports, the version, and the absence of ``assert`` statements in
-library code (``python -O`` strips them, so invariants must raise)."""
+package imports, the version, the absence of ``assert`` statements in
+library code (``python -O`` strips them, so invariants must raise), and of
+module-global state but one sanctioned cache."""
 
 import ast
 import re
@@ -95,6 +96,28 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_library_keeps_no_module_global_state_but_the_seed_prefix():
+    # a module-global cache is shared by every caller and every thread;
+    # the one sanctioned cache is trial_stream's hash prefix of its seed
+    sites = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = (
+                    node.name
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else scopes.get(node)
+                )
+        sites += [
+            (path.stem, scopes.get(node), tuple(node.names))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Global)
+        ]
+    assert sites == [("montecarlo", "trial_stream", ("_seed_prefix",))]
 
 
 def test_version_matches_pyproject():

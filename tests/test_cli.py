@@ -288,7 +288,7 @@ class TestExitCodeContract:
         monkeypatch.setattr(
             hoeffding.engine,
             "_weak_residual_row",
-            lambda measure, n, u: SymmetricFunction.constant(n - 1, 0),
+            lambda measure, n, u, numerators, common: SymmetricFunction.constant(n - 1, 0),
         )
         with pytest.raises(InternalError):
             dispatch(["check", "--measure", files["unif_half.json"], "--max-n", "2"])

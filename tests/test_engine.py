@@ -9,7 +9,10 @@ with each other through the exact proportionality identity.
 """
 
 import random
+import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -38,9 +41,11 @@ from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
     beta11,
+    beta32,
     dirac12,
     dirac13,
     enum_conditional_zero_count,
+    forward_substitution_kernel_basis,
     gram_decomposition,
     in_span,
     published_polya_coefficients,
@@ -77,7 +82,7 @@ class TestDegenerateKernelBasis:
         for n in range(1, 9):
             basis = degenerate_kernel_basis(any_measure, n)
             assert len(basis) == 1
-            assert basis[0] == canonical_degenerate_kernel(any_measure, n)
+            assert basis == forward_substitution_kernel_basis(any_measure, n)
 
     def test_iid_third_hand_solved(self):
         # direct solve of the two degeneracy equations at arity 2
@@ -426,9 +431,10 @@ class TestCheckDecomposable:
         for triple, value in report.residuals.items():
             assert (value == 0) == (report.cross_residuals[triple] == 0)
 
-    def test_route_disagreement_raises_under_optimize(self):
+    def test_zeroed_weak_row_raises_under_optimize(self):
         # zeroing the weak route on the two-point mixture breaks the exact
-        # route identity at (3, 2, 0); the check must survive python -O
+        # route identity at (3, 2, 0), the witness; the certificate of its
+        # weak row must catch it under python -O
         script = textwrap.dedent(
             """
             import sys
@@ -438,7 +444,7 @@ class TestCheckDecomposable:
             if __debug__:
                 sys.exit("not running under -O")
             engine._weak_residual_row = (
-                lambda measure, n, u: SymmetricFunction.constant(n - 1, 0))
+                lambda measure, n, u, numerators, common: SymmetricFunction.constant(n - 1, 0))
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             try:
                 check_decomposable(twopoint, 4)
@@ -450,10 +456,11 @@ class TestCheckDecomposable:
         )
         result = run_optimized(script)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.startswith("residual routes disagree at (3, 2, 0)")
+        assert result.stdout.startswith("weak row at (3, 2)")
 
     def test_witness_certificate_raises_under_optimize(self):
-        # shifting every nonzero residual by one keeps the routes vanishing
+        # shifting every nonzero numerator by the common denominator C adds
+        # one to every nonzero residual and keeps the routes vanishing
         # together, so only the witness certificate (the alternating sum of
         # conditional zero-count probabilities) can catch it, under python -O
         script = textwrap.dedent(
@@ -463,13 +470,13 @@ class TestCheckDecomposable:
             from hoeffding import DeFinettiMeasure, InternalError, check_decomposable, engine
             if __debug__:
                 sys.exit("not running under -O")
-            integer_residual = engine.decomposability_residual
+            residual_numerators = engine._residual_numerators
 
-            def off_by_one(measure, n, u, z):
-                value = integer_residual(measure, n, u, z)
-                return value + 1 if value else value
+            def off_by_one(measure, n, u):
+                numerators, common = residual_numerators(measure, n, u)
+                return [t + common if t else t for t in numerators], common
 
-            engine.decomposability_residual = off_by_one
+            engine._residual_numerators = off_by_one
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             try:
                 check_decomposable(twopoint, 4)
@@ -494,7 +501,7 @@ class TestCheckDecomposable:
             from hoeffding import DeFinettiMeasure, InternalError, check_decomposable, engine
             if __debug__:
                 sys.exit("not running under -O")
-            engine._residual_numerator = lambda ints, signed, n, u, z: 0
+            engine._residual_numerators = lambda measure, n, u: ([0] * n, 1)
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             try:
                 check_decomposable(twopoint, 4)
@@ -534,8 +541,8 @@ class TestCheckDecomposable:
             if __debug__:
                 sys.exit("not running under -O")
             weak_row = engine._weak_residual_row
-            engine._weak_residual_row = lambda measure, n, u: SymmetricFunction(
-                tuple(2 * x for x in weak_row(measure, n, u).values))
+            engine._weak_residual_row = lambda measure, n, u, numerators, common: SymmetricFunction(
+                tuple(2 * x for x in weak_row(measure, n, u, numerators, common).values))
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             for run in (lambda: check_decomposable(twopoint, 4), lambda: classify(twopoint, 3)):
                 try:
@@ -551,3 +558,40 @@ class TestCheckDecomposable:
         lines = result.stdout.splitlines()
         assert len(lines) == 2
         assert all(line.startswith("weak row at (3, 2)") for line in lines)
+
+    def test_concurrent_scans_equal_sequential_ones(self):
+        # four threads switching every microsecond, over one shared fresh
+        # measure and over four distinct ones, for several rounds: each row
+        # is computed and passed by value, so no scan reads a row of another
+        def three_atoms():
+            return DeFinettiMeasure.discrete(
+                [(F(2, 7), F(1, 3)), (F(5, 11), F(1, 3)), (F(9, 10), F(1, 3))]
+            )
+
+        factories = [twopoint, unif_half, beta32, three_atoms]
+
+        def scan(measure):
+            report = check_decomposable(measure, 6)
+            return report.residuals, report.cross_residuals, report.verdict, report.witness
+
+        expected = [scan(factory()) for factory in factories]
+
+        def concurrently(measures):
+            barrier = threading.Barrier(len(measures))
+
+            def start_together(measure):
+                barrier.wait(timeout=60)
+                return scan(measure)
+
+            with ThreadPoolExecutor(max_workers=len(measures)) as pool:
+                return list(pool.map(start_together, measures))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):
+                for factory, reference in zip(factories, expected):
+                    assert concurrently([factory()] * 4) == [reference] * 4
+                assert concurrently([factory() for factory in factories]) == expected
+        finally:
+            sys.setswitchinterval(interval)
