@@ -10,10 +10,10 @@ mixing law: with
 every decomposable sequence satisfies mu_{n+1} g(mu_n, mu_{n-1}, mu_{n-2})
 = f(mu_n, mu_{n-1}, mu_{n-2}) for n >= 2, and f, g never vanish together on
 the open region S = {0 < x < y < z < 1} that genuine non-deterministic
-moment triples (mu_n, mu_{n-1}, mu_{n-2}) inhabit. Combined with the fact
-that a first/second moment pair inside the admissible region pins down a
-unique Beta law, the recursion reduces classification to finitely many
-exact comparisons per order.
+moment triples (mu_n, mu_{n-1}, mu_{n-2}) inhabit. The first two moments
+pin down one candidate law (a point mass, a Beta law, or below the
+point-mass boundary a formal Beta law with negative parameters), so
+classification reduces to finitely many exact comparisons per order.
 """
 
 from __future__ import annotations
@@ -151,19 +151,27 @@ def recover_beta(c1, c2) -> tuple[Fraction, Fraction]:
 def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
     """Decide whether the measure is i.i.d., Polya, or neither, up to n_max.
 
-    A first/second moment pair on the point-mass boundary (mu_2 = mu_1^2)
-    proposes an i.i.d. law; otherwise the unique Beta candidate is
-    recovered and the moments are compared exactly against the candidate's.
-    Truncated moment sequences too short to complete the verification
-    return INCONCLUSIVE rather than a verdict.
+    A non-deterministic decomposable sequence is i.i.d. or Polya, and
+    mu_1, mu_2 leave one candidate law. With c = mu_1 - mu_2 = P_2(1) > 0
+    and gap = mu_2 - mu_1^2, its moments are the running product of
 
-    The moments stand in for the decomposability residual scan up to
-    d = min(n_max, (cap+1)//2). Residual (n, u, z) reads moments up to
-    n+u-1 only, so with M = min(n_max, cap), comparing moments up to
-    max(M, 2d-1) settles every residual of the scan:
+        (mu_1 c + i gap) / (c + i gap),    i = 0, 1, ...
 
-    * all moments equal: every residual is the Beta law's, which the
-      theorem makes zero;
+    that is mu_1 for the point mass (gap = 0), (alpha+i)/(alpha+beta+i)
+    for the Beta law (gap > 0), and the same with both parameters negative
+    (gap < 0): the formal law of draws without replacement from a finite
+    urn, which is no mixing law. The product is compared with the moments
+    on integers, by cross-multiplication.
+
+    The moments stand in for the residual scan up to d = min(n_max,
+    (cap+1)//2). A residual (n, u, z) is a rational function of (alpha,
+    beta) with configuration probabilities P_n(j) as denominators, zero
+    for all alpha, beta > 0 by the theorem, so zero for the candidate
+    wherever those are nonzero. It reads moments up to n+u-1 only, so with
+    M = min(n_max, cap), comparing moments up to max(M, 2d-1) settles
+    every residual of the scan:
+
+    * all moments equal: every residual is the candidate's, which is zero;
     * first mismatch at m <= M: the witness is the moment order m;
     * first mismatch at m > M: every triple before (m//2 + 1, ceil(m/2), 0)
       in scan order reads only moments below m, so its residual is zero,
@@ -171,12 +179,19 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
 
     The last triple's residual is never zero. At z = 0 only k = 0 enters,
     so with n + u - 1 = m it is sum_j (-1)^j C(u,j) P_m(j) / P_n(j). Every
-    moment below m is the Beta law's, so P_n is, and P_m(j) is the Beta
-    law's plus (-1)^j delta, delta = mu_m - ref_m != 0. The Beta law's
-    residual is zero, so the residual is delta sum_j C(u,j) / P_n(j), and
-    every term of that sum is positive (non-determinism is checked up to
-    order m before). A zero there raises ``InternalError``. The result is
-    the one the full scan gives.
+    moment below m is the candidate's, so P_n is, and P_m(j) is the
+    candidate's plus (-1)^j delta, delta = mu_m - ref_m != 0. The
+    candidate's residual is zero, so the residual is delta sum_j C(u,j) /
+    P_n(j), and every term is positive (non-determinism is checked up to
+    order m before). A zero there raises ``InternalError``. A factor can
+    vanish only when gap < 0; every compared moment is positive, so a zero
+    factor reads as a mismatch, and the certified residual decides it.
+
+    If every compared moment matches, the verdict is IID (gap = 0) or
+    POLYA (gap > 0), but INCONCLUSIVE when the moments are too short for
+    the scan (d < n_max, which M < n_max implies) or when gap < 0: then
+    every residual of the scan is zero, yet the law, a finite urn's among
+    them, is no mixture of i.i.d. laws.
     """
     if n_max < 3:
         raise IndexRangeError("n_max must be at least 3")
@@ -185,36 +200,22 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
     measure.require_nondeterministic(nondet_order)
 
     moment_order = n_max if cap is None else min(n_max, cap)
-    mu1, mu2 = measure.moment(1), measure.moment(2)
-
-    if mu2 == mu1 * mu1:
-        for n in range(3, moment_order + 1):
-            if measure.moment(n) != mu1**n:
-                return Classification(
-                    ClassificationKind.NOT_DECOMPOSABLE,
-                    witness=n,
-                    verified_order=n,
-                )
-        if moment_order < n_max:
-            return Classification(
-                ClassificationKind.INCONCLUSIVE, verified_order=moment_order
-            )
-        return Classification(
-            ClassificationKind.IID, iid_p=mu1, verified_order=n_max
-        )
-
-    if mu2 < mu1 * mu1:
-        # impossible for a genuine mixing law; only truncated pseudo-moment
-        # sequences reach here, and they cannot extend to any measure
-        return Classification(
-            ClassificationKind.NOT_DECOMPOSABLE, witness=2, verified_order=2
-        )
-
-    alpha, beta = recover_beta(mu1, mu2)
-    reference = DeFinettiMeasure.beta(alpha, beta)
     decomp_order = n_max if cap is None else min(n_max, (cap + 1) // 2)
-    orders = range(3, max(moment_order, 2 * decomp_order - 1) + 1)
-    mismatch = next((m for m in orders if measure.moment(m) != reference.moment(m)), None)
+    mu1, mu2 = measure.moment(1), measure.moment(2)
+    # with mu_1 = p/q and mu_2 = r/s, a, b and gap are mu_1 c, c and gap
+    # times q^2 s, so the factor of order i is (a + i gap) / (b + i gap)
+    p, q, r, s = mu1.numerator, mu1.denominator, mu2.numerator, mu2.denominator
+    gap = r * q * q - p * p * s
+    a, b = p * (p * s - r * q), q * (p * s - r * q)
+    top = bottom = 1
+    mismatch = None
+    for m in range(1, max(moment_order, 2 * decomp_order - 1) + 1):
+        top *= a + (m - 1) * gap
+        bottom *= b + (m - 1) * gap
+        mu = measure.moment(m)
+        if mu.numerator * bottom != mu.denominator * top:
+            mismatch = m
+            break
     if mismatch is not None and mismatch <= moment_order:
         return Classification(
             ClassificationKind.NOT_DECOMPOSABLE, witness=mismatch, verified_order=mismatch
@@ -225,20 +226,16 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
         if _certified_residual(measure, *witness) == 0:
             raise InternalError(
                 f"residual at {witness} vanishes, but moment {mismatch} "
-                "departs from the Beta candidate"
+                "departs from the candidate law"
             )
         return Classification(
-            ClassificationKind.NOT_DECOMPOSABLE,
-            witness=witness,
-            verified_order=moment_order,
+            ClassificationKind.NOT_DECOMPOSABLE, witness=witness, verified_order=moment_order
         )
-    if moment_order < n_max or decomp_order < n_max:
-        return Classification(
-            ClassificationKind.INCONCLUSIVE, verified_order=moment_order
-        )
+    if gap < 0 or decomp_order < n_max:
+        return Classification(ClassificationKind.INCONCLUSIVE, verified_order=moment_order)
+    if gap == 0:
+        return Classification(ClassificationKind.IID, iid_p=mu1, verified_order=n_max)
+    alpha, beta = recover_beta(mu1, mu2)
     return Classification(
-        ClassificationKind.POLYA,
-        polya_alpha=alpha,
-        polya_beta=beta,
-        verified_order=n_max,
+        ClassificationKind.POLYA, polya_alpha=alpha, polya_beta=beta, verified_order=n_max
     )

@@ -71,11 +71,8 @@ def _integer(digits: str) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient with value 0 outside the support 0 <= k <= n.
-
-    The out-of-support convention keeps lifting and symmetrization sums
-    uniformly indexed, with no boundary special cases at the call sites.
-    """
+    """Binomial coefficient with value 0 outside the support 0 <= k <= n,
+    where ``math.comb`` raises on a negative argument."""
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)

@@ -6,7 +6,8 @@ enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
 conditional expectation), the per-bit sampling oracle, and the
-scaffolding only tests use: the two-term degeneracy residual, the
+scaffolding only tests use: ``parse_report`` (the JSON report round
+trip), the finite urn law, the two-term degeneracy residual, the
 affine-predictive helpers, the moment-region sampler and
 ``run_optimized`` (a script under ``python -O``).
 
@@ -20,6 +21,7 @@ only the specified generator (``trial_stream`` and ``SplitMix64.random``)
 and compares float uniforms with float probabilities, bit by bit.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -35,18 +37,23 @@ from hoeffding import (
     ArityMismatchError,
     Classification,
     ClassificationKind,
+    DecomposabilityReport,
     DeFinettiMeasure,
     DeterministicMeasureError,
+    HoeffdingDecomposition,
     IndexRangeError,
+    InternalError,
     MeasureKind,
     ParameterRangeError,
+    ParseError,
+    SampleReport,
     SymmetricFunction,
     UrnSpec,
     Verdict,
     check_decomposable,
-    recover_beta,
 )
-from hoeffding.montecarlo import trial_stream
+from hoeffding.montecarlo import ComparisonRow, trial_stream
+from hoeffding.rationals import parse_rational
 
 F = Fraction
 
@@ -83,6 +90,16 @@ def unif_half():
 
 def twopoint():
     return DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+
+
+def urn_law(ones, zeros):
+    """Draws without replacement from an urn of ones and zeros: the
+    exchangeable law on {0,1}^(ones+zeros), formally Beta(-ones, -zeros),
+    which is no mixture of i.i.d. laws."""
+    values = [F(1)]
+    for i in range(ones + zeros):
+        values.append(values[-1] * F(ones - i, ones + zeros - i))
+    return DeFinettiMeasure.from_moments(values)
 
 
 DECOMPOSABLE_FACTORIES = [beta11, beta32, beta23, dirac13, dirac12]
@@ -282,9 +299,11 @@ def fraction_check_decomposable(measure, n_max):
 
 
 def scan_classify(measure, n_max):
-    """``classify`` by its former route: the Beta candidate's moments
-    compared up to n_max, then the full residual scan of
-    ``check_decomposable``."""
+    """``classify`` by the full residual scan: the candidate law's moments
+    compared as ``Fraction`` products up to n_max, then the residual scan
+    of ``check_decomposable``. The candidate is the point mass at mu_1 when
+    mu_2 = mu_1^2, and otherwise the Beta law with the first two moments,
+    a formal one with negative parameters below the point-mass boundary."""
     if n_max < 3:
         raise IndexRangeError("n_max must be at least 3")
     cap = measure.max_order
@@ -293,24 +312,20 @@ def scan_classify(measure, n_max):
 
     moment_order = n_max if cap is None else min(n_max, cap)
     mu1, mu2 = measure.moment(1), measure.moment(2)
+    gap = mu2 - mu1 * mu1
+    if gap:
+        alpha, beta = mu1 * (mu1 - mu2) / gap, (1 - mu1) * (mu1 - mu2) / gap
 
-    if mu2 == mu1 * mu1:
-        for n in range(3, moment_order + 1):
-            if measure.moment(n) != mu1**n:
-                return Classification(
-                    ClassificationKind.NOT_DECOMPOSABLE, witness=n, verified_order=n
-                )
-        if moment_order < n_max:
-            return Classification(ClassificationKind.INCONCLUSIVE, verified_order=moment_order)
-        return Classification(ClassificationKind.IID, iid_p=mu1, verified_order=n_max)
+    def candidate(n):
+        if gap == 0:
+            return mu1**n
+        value = F(1)
+        for i in range(n):
+            value *= (alpha + i) / (alpha + beta + i)
+        return value
 
-    if mu2 < mu1 * mu1:
-        return Classification(ClassificationKind.NOT_DECOMPOSABLE, witness=2, verified_order=2)
-
-    alpha, beta = recover_beta(mu1, mu2)
-    reference = DeFinettiMeasure.beta(alpha, beta)
     for n in range(3, moment_order + 1):
-        if measure.moment(n) != reference.moment(n):
+        if measure.moment(n) != candidate(n):
             return Classification(
                 ClassificationKind.NOT_DECOMPOSABLE, witness=n, verified_order=n
             )
@@ -324,11 +339,134 @@ def scan_classify(measure, n_max):
                 witness=report.witness,
                 verified_order=moment_order,
             )
-    if moment_order < n_max or decomp_order < n_max:
+    if gap < 0 or moment_order < n_max or decomp_order < n_max:
         return Classification(ClassificationKind.INCONCLUSIVE, verified_order=moment_order)
+    if gap == 0:
+        return Classification(ClassificationKind.IID, iid_p=mu1, verified_order=n_max)
     return Classification(
         ClassificationKind.POLYA, polya_alpha=alpha, polya_beta=beta, verified_order=n_max
     )
+
+
+# ---------------------------------------------------------------------------
+# JSON report round trip
+# ---------------------------------------------------------------------------
+
+
+def parse_report(text: str):
+    """Inverse of ``render_report(..., "json")`` for all four report types.
+
+    Every malformed document raises ``ParseError``: a missing field, a field
+    of the wrong type, an unknown enumeration value, or values that violate
+    the report's own invariants (such as a histogram that does not sum to
+    the trials).
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("report document must be a JSON object")
+    try:
+        return _report_from_payload(payload)
+    except KeyError as exc:
+        raise ParseError(f"missing report field: {exc}") from exc
+    except ParseError:
+        raise
+    except (TypeError, ValueError, InternalError) as exc:
+        raise ParseError(f"malformed report field: {exc}") from exc
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _triple(value) -> tuple[int, int, int]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise TypeError(f"expected an [n, u, z] witness, got {value!r}")
+    return tuple(_int(v) for v in value)
+
+
+def _report_from_payload(payload: dict):
+    tag = payload.get("report")
+    if tag == "decomposition":
+        return HoeffdingDecomposition(
+            n=_int(payload["n"]),
+            measure_digest=payload["measure"],
+            components=tuple(
+                SymmetricFunction(tuple(parse_rational(v) for v in comp))
+                for comp in payload["components"]
+            ),
+            mean=parse_rational(payload["mean"]),
+        )
+    if tag == "decomposability":
+        residuals = {}
+        cross = {}
+        for row in payload["residuals"]:
+            triple = (_int(row["n"]), _int(row["u"]), _int(row["z"]))
+            residuals[triple] = parse_rational(row["prop1"])
+            cross[triple] = parse_rational(row["weakindep"])
+        witness = payload["witness"]
+        return DecomposabilityReport(
+            n_max=_int(payload["n_max"]),
+            residuals=residuals,
+            cross_residuals=cross,
+            verdict=Verdict(payload["verdict"]),
+            witness=None if witness is None else _triple(witness),
+        )
+    if tag == "classification":
+        witness = payload["witness"]
+        if isinstance(witness, list):
+            witness = _triple(witness)
+        elif witness is not None:
+            witness = _int(witness)
+        return Classification(
+            kind=ClassificationKind(payload["kind"]),
+            iid_p=_maybe_rational(payload["p"]),
+            polya_alpha=_maybe_rational(payload["alpha"]),
+            polya_beta=_maybe_rational(payload["beta"]),
+            witness=witness,
+            verified_order=_int(payload["verified_order"]),
+        )
+    if tag == "sample":
+        n = _int(payload["n"])
+        histogram = tuple(_int(c) for c in payload["histogram"])
+        if len(histogram) != n + 1:
+            raise ValueError(f"histogram has {len(histogram)} cells, not n + 1 = {n + 1}")
+        comparison = payload["comparison"]
+        rows = None
+        if comparison is not None:
+            rows = tuple(
+                ComparisonRow(
+                    _int(row["zeros"]),
+                    parse_rational(row["expected"]),
+                    _number(row["empirical"]),
+                    _number(row["z"]),
+                )
+                for row in comparison
+            )
+            if [row.zeros for row in rows] != list(range(n + 1)):
+                raise ValueError("comparison rows must cover zero counts 0..n in order")
+        return SampleReport(
+            n=n,
+            trials=_int(payload["trials"]),
+            seed=_int(payload["seed"]),
+            zero_count_histogram=histogram,
+            comparison=rows,
+        )
+    raise ParseError(f"unknown report tag: {tag!r}")
+
+
+def _maybe_rational(value):
+    return None if value is None else parse_rational(value)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,11 @@ from hoeffding import (
     compare_exact_empirical,
     hoeffding_decomposition,
 )
-from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, parse_report, render_report
+from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, render_report
 from hoeffding.measures import MAX_MOMENT_ORDER
 from hoeffding.symmetric import MAX_STATISTIC_ARITY
 from hoeffding.rationals import format_rational, parse_rational
-from conftest import twopoint, unif_half
+from conftest import parse_report, twopoint, unif_half, urn_law
 
 F = Fraction
 
@@ -34,6 +34,16 @@ DIRAC12 = '{"type": "discrete", "atoms": [["1/2", "1"]]}'
 STATISTIC = '{"n": 2, "values": ["0", "0", "1"]}'
 IDENTITY_URN = '{"f": {"type": "identity"}, "r": 1, "b": 1}'
 TWOPOINT = '{"type": "discrete", "atoms": [["1/3", "1/2"], ["2/3", "1/2"]]}'
+# Beta(2,2) moments cut at order 5: too short for a verdict at n_max 6
+BETA22_ORDER5 = '{"type": "moments", "values": ["1", "1/2", "3/10", "1/5", "1/7", "3/28"]}'
+# laws on which classify and check once disagreed: a point mass departing
+# at order 4, a point mass cut at order 4, and draws without replacement
+# from an urn of 20 ones and 17 zeros (a finite exchangeable law)
+BENT_POINT = '{"type": "moments", "values": ["1", "1/2", "1/4", "1/8", "127/2000", "1/32"]}'
+SHORT_POINT = '{"type": "moments", "values": ["1", "1/2", "1/4", "1/8", "1/16"]}'
+URN_20_17 = json.dumps(
+    {"type": "moments", "values": [format_rational(v) for v in urn_law(20, 17).moment_values]}
+)
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8"))
 
 
@@ -47,6 +57,10 @@ def files(tmp_path):
         "stat.json": STATISTIC,
         "urn.json": IDENTITY_URN,
         "twopoint.json": TWOPOINT,
+        "beta22_order5.json": BETA22_ORDER5,
+        "bent_point.json": BENT_POINT,
+        "short_point.json": SHORT_POINT,
+        "urn_20_17.json": URN_20_17,
     }.items():
         path = tmp_path / name
         path.write_text(content, encoding="utf-8")
@@ -260,6 +274,32 @@ class TestOtherCommands:
         assert code == 2 and "exactly one" in err
         code, _, _ = dispatch(["simulate", "--n", "4", "--trials", "1000", "--seed", "7"])
         assert code == 2
+
+
+MEASURE_FILES = [
+    "beta11.json",
+    "unif_half.json",
+    "dirac12.json",
+    "twopoint.json",
+    "beta22_order5.json",
+    "bent_point.json",
+    "short_point.json",
+    "urn_20_17.json",
+]
+
+
+class TestClassifyAgreesWithCheck:
+    @pytest.mark.parametrize("depth", ["3", "4", "6", "9"])
+    @pytest.mark.parametrize("name", MEASURE_FILES)
+    def test_exit_codes_agree(self, files, name, depth):
+        # classify exits 1 exactly when check at the same depth does, unless
+        # classify is INCONCLUSIVE or the moments are too short for check
+        argv = ["--measure", files[name], "--max-n", depth, "--format", "json"]
+        code, out, _ = dispatch(["classify", *argv])
+        check_code, _, _ = dispatch(["check", *argv])
+        inconclusive = code == 0 and json.loads(out)["kind"] == "INCONCLUSIVE"
+        if check_code != 2 and not inconclusive:
+            assert code == check_code
 
 
 class TestExitCodeContract:
@@ -560,10 +600,13 @@ GOLDEN_CASES = [
     ["classify", "--measure", "beta11.json", "--max-n", "4"],
     ["classify", "--measure", "dirac12.json", "--max-n", "3"],
     ["classify", "--measure", "unif_half.json", "--max-n", "4"],
+    ["classify", "--measure", "twopoint.json", "--max-n", "3"],
+    ["classify", "--measure", "beta22_order5.json", "--max-n", "6"],
     ["recover-beta", "--c1", "1/2", "--c2", "3/10"],
     ["recursion", "--measure", "unif_half.json", "--max-n", "4"],
     ["simulate", "--measure", "beta11.json", "--n", "4", "--trials", "1000", "--seed", "7"],
     ["simulate", "--urn", "urn.json", "--n", "4", "--trials", "1000", "--seed", "7"],
+    ["simulate", "--measure", "twopoint.json", "--n", "4", "--trials", "1000", "--seed", "7"],
 ]
 
 
@@ -571,8 +614,8 @@ class TestGoldenOutput:
     """Exact stdout and exit code of every verb, pinned in ``cli_golden.json``.
 
     The file maps each argv (input files by name) to the output recorded
-    before the measure layer and the check renderer were rewritten; any
-    byte of difference is a change of the CLI contract.
+    before the code behind it was last rewritten; any byte of difference
+    is a change of the CLI contract.
     """
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])

@@ -11,8 +11,11 @@ from hoeffding import (
     IndexRangeError,
     InternalError,
     MomentRegionError,
+    OrderExceededError,
     ParameterRangeError,
+    Verdict,
     ZeroDenominatorError,
+    check_decomposable,
     classify,
     decomposability_residual,
     moment_polynomials,
@@ -30,6 +33,7 @@ from conftest import (
     sample_moment_region,
     twopoint,
     unif_half,
+    urn_law,
 )
 
 F = Fraction
@@ -387,17 +391,64 @@ class TestClassify:
 
     def test_pseudo_moments_below_dirac_boundary(self):
         # completely monotone truncation with mu_2 < mu_1^2: no genuine
-        # measure extends it
+        # measure extends it. Its first two moments are those of the formal
+        # Beta(-13, -13), whose third moment 11/100 differs from 1/10, so the
+        # first mismatch, and the witness, is order 3 (not 2: a law below
+        # the point-mass boundary is not by that alone non-decomposable)
         m = DeFinettiMeasure.from_moments(
             ["1", "1/2", "6/25", "1/10", "1/20"]
         )
         result = classify(m, 3)
         assert result.kind is ClassificationKind.NOT_DECOMPOSABLE
-        assert result.witness == 2
+        assert result.witness == 3
 
     def test_n_max_floor(self):
         with pytest.raises(IndexRangeError):
             classify(beta11(), 2)
+
+
+class TestClassifyAgreesWithCheck:
+    """Verdicts the residual scan of ``check_decomposable`` confirms."""
+
+    def test_below_boundary_witness_is_read_by_the_scan(self):
+        # the first triple reading moment 3 is (2, 2, 0)
+        m = DeFinettiMeasure.from_moments(["1", "1/2", "6/25", "1/10", "1/20"])
+        report = check_decomposable(m, 2)
+        assert report.witness == (2, 2, 0)
+        assert report.residuals[(2, 2, 0)] == F(-25, 156)
+
+    def test_point_mass_departing_past_n_max(self):
+        # the point mass at 1/2 up to order 3; moment 4 departs, and the
+        # moments up to 2 n_max - 1 = 5 are compared
+        m = DeFinettiMeasure.from_moments(["1", "1/2", "1/4", "1/8", F(1, 16) + F(1, 1000), "1/32"])
+        result = classify(m, 3)
+        assert result.kind is ClassificationKind.NOT_DECOMPOSABLE
+        assert result.witness == (3, 2, 0)
+        report = check_decomposable(m, 3)
+        assert report.verdict is Verdict.NOT_DECOMPOSABLE
+        assert report.witness == (3, 2, 0)
+        assert report.residuals[(3, 2, 0)] == F(4, 125)
+
+    def test_short_point_mass_inconclusive(self):
+        # the scan at n_max 4 needs order 7; order 4 settles only n_max 2
+        m = DeFinettiMeasure.from_moments(["1", "1/2", "1/4", "1/8", "1/16"])
+        result = classify(m, 4)
+        assert result.kind is ClassificationKind.INCONCLUSIVE
+        assert result.verified_order == 4
+        with pytest.raises(OrderExceededError):
+            check_decomposable(m, 4)
+
+    def test_finite_urn_inconclusive(self):
+        # sampling without replacement from 20 ones and 17 zeros is the
+        # formal Beta(-20, -17): every residual vanishes, but no mixture of
+        # i.i.d. laws has these moments
+        m = urn_law(20, 17)
+        result = classify(m, 9)
+        assert result.kind is ClassificationKind.INCONCLUSIVE
+        assert result.verified_order == 9
+        report = check_decomposable(m, 9)
+        assert report.verdict is Verdict.DECOMPOSABLE_UP_TO_N_MAX
+        assert all(r == 0 for r in report.residuals.values())
 
     @pytest.mark.parametrize(
         "fields",

@@ -25,10 +25,10 @@ the configuration rows on their least common denominators. The weak-route
 row, scaled from the primary residual numerators, must equal the composed
 ``Fraction`` oracles of the canonical kernel's overlap conditional
 expectation, symmetrized, and
-``classify`` must equal ``scan_classify``, its former full-scan route, on
-random laws and on Beta moment sequences perturbed past the compared
-moment orders. Discrete moments must equal the sum over atoms at every
-order up to 63. The fused Monte Carlo
+``classify`` must equal ``scan_classify``, its full-scan oracle, on
+random laws, perturbed point masses and finite urns, and on Beta moment
+sequences perturbed past the compared moment orders. Discrete moments
+must equal the sum over atoms at every order up to 63. The fused Monte Carlo
 histograms of random Beta, discrete and urn specifications must equal the
 per-bit sampling oracle count for count. Examples are capped and derandomized so the suite
 costs a few seconds and repeats exactly.
@@ -95,6 +95,7 @@ from conftest import (
     nondeterminism_scan,
     reference_histogram,
     scan_classify,
+    urn_law,
 )
 
 F = Fraction
@@ -386,13 +387,30 @@ def test_weak_rows_of_three_atom_law_equal_fraction_oracle():
         assert_weak_rows_equal_fraction_oracle(measure, n)
 
 
+def perturbed(draw, law, order, m):
+    """The moments of law up to order, with moment m moved by a small
+    rational.
+
+    Moving mu_m by e moves an entry of row n >= m by at most 2^n |e|, so a
+    move below the least row entry over 2^(order+1) keeps every row
+    positive."""
+    least = min(law.config_probability(n, j) for n in range(order + 1) for j in range(n + 1))
+    shift = least / 2 ** (order + 1) * F(draw(st.integers(1, 9)), 10)
+    values = [law.moment(k) for k in range(order + 1)]
+    values[m] += shift if draw(st.booleans()) else -shift
+    return DeFinettiMeasure.from_moments(values)
+
+
 @st.composite
 def classify_laws(draw):
-    """A Beta, Dirac, 2-4-atom, truncated uniform or short moment-sequence
-    law, and a depth n_max. The moment sequences stop below 2 n_max - 1,
-    so most of them are INCONCLUSIVE."""
+    """A Beta, Dirac, 2-4-atom, truncated uniform, short moment-sequence,
+    perturbed point-mass or finite urn law, and a depth n_max. The short
+    moment sequences stop below 2 n_max - 1, so most of them are
+    INCONCLUSIVE."""
     n_max = draw(st.integers(3, 8))
-    kind = draw(st.sampled_from(["beta", "dirac", "atoms", "uniform", "short"]))
+    kind = draw(
+        st.sampled_from(["beta", "dirac", "atoms", "uniform", "short", "point", "urn"])
+    )
     if kind == "beta":
         return draw(beta_laws()), n_max
     if kind == "dirac":
@@ -409,6 +427,13 @@ def classify_laws(draw):
     if kind == "uniform":
         order = draw(st.integers(2 * n_max - 1, 3 * n_max))
         return DeFinettiMeasure.truncated_uniform(draw(unit_rationals()), order), n_max
+    if kind == "point":
+        order = draw(st.integers(n_max, 2 * n_max + 1))
+        law = DeFinettiMeasure.dirac(draw(unit_rationals()))
+        return perturbed(draw, law, order, draw(st.integers(3, order))), n_max
+    if kind == "urn":
+        sizes = st.integers(n_max, 2 * n_max + 3)
+        return urn_law(draw(sizes), draw(sizes)), n_max
     law = draw(measures)
     order = draw(st.integers(0, 2 * n_max - 2))
     return DeFinettiMeasure.from_moments([law.moment(k) for k in range(order + 1)]), n_max
@@ -424,20 +449,12 @@ def test_classify_equals_full_scan_oracle(case):
 @st.composite
 def perturbed_beta_laws(draw):
     """The moments of a Beta law up to a little past order 2 n_max - 1,
-    with moment m, n_max < m <= 2 n_max - 1, moved by a small rational.
-
-    Moving mu_m by e moves an entry of row n >= m by at most 2^n |e|, so a
-    move below the least row entry over 2^(order+1) keeps every row
-    positive."""
+    with moment m, n_max < m <= 2 n_max - 1, moved by a small rational."""
     law = draw(beta_laws())
     n_max = draw(st.integers(3, 7))
     order = 2 * n_max - 1 + draw(st.integers(0, 2))
     m = draw(st.integers(n_max + 1, 2 * n_max - 1))
-    least = min(law.config_probability(n, j) for n in range(order + 1) for j in range(n + 1))
-    shift = least / 2 ** (order + 1) * F(draw(st.integers(1, 9)), 10)
-    values = [law.moment(k) for k in range(order + 1)]
-    values[m] += shift if draw(st.booleans()) else -shift
-    return DeFinettiMeasure.from_moments(values), n_max, m
+    return perturbed(draw, law, order, m), n_max, m
 
 
 @SETTINGS
