@@ -15,67 +15,68 @@ Library layout:
 * :mod:`hoeffding.montecarlo` - seeded samplers cross-validating the exact
   probabilities statistically.
 * :mod:`hoeffding.cli` - the ``hoeffding`` command.
+
+Importing the package loads none of these modules. Each public name in
+``__all__`` resolves on first access, by importing the module that
+defines it (PEP 562), so a program loads only the layers it uses.
 """
 
-from .errors import (
-    ArityMismatchError,
-    DeterministicMeasureError,
-    HoeffdingError,
-    IndexRangeError,
-    InternalError,
-    InvalidMomentSequenceError,
-    MomentRegionError,
-    OrderExceededError,
-    ParameterRangeError,
-    ParseError,
-    ReinforcementRangeError,
-    UnsamplableKindError,
-    ZeroDenominatorError,
-)
-from .measures import DeFinettiMeasure, MeasureKind, parse_measure_spec
-from .symmetric import (
-    BiSymmetricFunction,
-    SymmetricFunction,
-    cond_expectation_overlap,
-    cond_expectation_prefix,
-    inner_product,
-    lift_ustatistic,
-    parse_statistic_spec,
-    symmetrize,
-)
-from .engine import (
-    DecomposabilityReport,
-    HoeffdingDecomposition,
-    Verdict,
-    canonical_degenerate_kernel,
-    check_decomposable,
-    decomposability_residual,
-    degenerate_kernel_basis,
-    hoeffding_decomposition,
-    iid_projection,
-    level_subspace_check,
-    polya_projection_coefficients,
-)
-from .dynamics import (
-    Classification,
-    ClassificationKind,
-    classify,
-    moment_polynomials,
-    moment_recursion_residual,
-    next_moment,
-    recover_beta,
-)
-from .montecarlo import (
-    ReinforcementFunction,
-    SampleReport,
-    UrnSpec,
-    compare_exact_empirical,
-    parse_urn_spec,
-    sample_mixture,
-    sample_polya,
-    sample_urn_process,
-    urn_histogram,
-)
+import importlib
+
+# the module of this package that defines each public name
+_HOMES = {
+    "ArityMismatchError": "errors",
+    "DeterministicMeasureError": "errors",
+    "HoeffdingError": "errors",
+    "IndexRangeError": "errors",
+    "InternalError": "errors",
+    "InvalidMomentSequenceError": "errors",
+    "MomentRegionError": "errors",
+    "OrderExceededError": "errors",
+    "ParameterRangeError": "errors",
+    "ParseError": "errors",
+    "ReinforcementRangeError": "errors",
+    "UnsamplableKindError": "errors",
+    "ZeroDenominatorError": "errors",
+    "DeFinettiMeasure": "measures",
+    "MeasureKind": "measures",
+    "parse_measure_spec": "measures",
+    "BiSymmetricFunction": "symmetric",
+    "SymmetricFunction": "symmetric",
+    "cond_expectation_overlap": "symmetric",
+    "cond_expectation_prefix": "symmetric",
+    "inner_product": "symmetric",
+    "lift_ustatistic": "symmetric",
+    "parse_statistic_spec": "symmetric",
+    "symmetrize": "symmetric",
+    "DecomposabilityReport": "engine",
+    "HoeffdingDecomposition": "engine",
+    "Verdict": "engine",
+    "canonical_degenerate_kernel": "engine",
+    "check_decomposable": "engine",
+    "decomposability_residual": "engine",
+    "degenerate_kernel_basis": "engine",
+    "hoeffding_decomposition": "engine",
+    "iid_projection": "engine",
+    "level_subspace_check": "engine",
+    "polya_projection_coefficients": "engine",
+    "Classification": "dynamics",
+    "ClassificationKind": "dynamics",
+    "classify": "dynamics",
+    "moment_polynomials": "dynamics",
+    "moment_recursion_residual": "dynamics",
+    "next_moment": "dynamics",
+    "recover_beta": "dynamics",
+    "ReinforcementFunction": "montecarlo",
+    "SampleReport": "montecarlo",
+    "UrnSpec": "montecarlo",
+    "compare_exact_empirical": "montecarlo",
+    "parse_urn_spec": "montecarlo",
+    "sample_mixture": "montecarlo",
+    "sample_polya": "montecarlo",
+    "sample_urn_process": "montecarlo",
+    "urn_histogram": "montecarlo",
+}
 
 __version__ = "0.1.0"
 
@@ -132,3 +133,15 @@ __all__ = [
     "symmetrize",
     "urn_histogram",
 ]
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

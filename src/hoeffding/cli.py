@@ -16,35 +16,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .dynamics import (
-    Classification,
-    ClassificationKind,
-    classify,
-    moment_recursion_residual,
-    recover_beta,
-)
-from .engine import (
-    DecomposabilityReport,
-    HoeffdingDecomposition,
-    Verdict,
-    canonical_degenerate_kernel,
-    check_decomposable,
-    hoeffding_decomposition,
-    level_subspace_check,
-)
+from . import __version__
 from .errors import HoeffdingError, InternalError, ParseError
-from .measures import DeFinettiMeasure, parse_measure_spec
-from .montecarlo import (
-    SampleReport,
-    compare_exact_empirical,
-    parse_urn_spec,
-    urn_histogram,
-)
 from .rationals import binom, format_rational, parse_rational
-from .symmetric import pairwise_inner_products, parse_statistic_spec
 
+if TYPE_CHECKING:
+    from .dynamics import Classification
+    from .engine import DecomposabilityReport, HoeffdingDecomposition
+    from .measures import DeFinettiMeasure
+    from .montecarlo import SampleReport
+
+# Each verb imports the library layers it runs inside its handler, so a
+# request loads only those: `moments` never loads the engine or the
+# samplers.
 
 # Largest accepted --max-n and --n. A Beta law's `check --max-n 32 --method
 # all` takes about 2 s on a 2-vCPU machine, and the cost grows faster than
@@ -58,7 +44,13 @@ _ORDER_HELP = f"at most {MAX_ORDER}"
 
 
 class _HelpRequested(Exception):
-    """Carries the text of --help out of argparse instead of its SystemExit."""
+    """Carries the text of --help or --version out of argparse instead of
+    its SystemExit."""
+
+
+class _Version(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _HelpRequested(f"hoeffding {__version__}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +67,9 @@ def _build_parser() -> _Parser:
     shared.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     parser = _Parser(prog="hoeffding", description=__doc__, parents=[shared])
+    parser.add_argument(
+        "--version", action=_Version, nargs=0, help="print the version and exit"
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("moments", parents=[shared], help="moment sequence of a measure")
@@ -150,33 +145,26 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_measure(path: str) -> DeFinettiMeasure:
+    from .measures import parse_measure_spec
+
+    return parse_measure_spec(_read(path))
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
 
 
-def render_report(report, fmt: str, measure: Optional[DeFinettiMeasure] = None) -> str:
-    """Render any report object; stable field ordering in both formats.
-
-    For decompositions, passing the measure adds exact orthogonality-check
-    footer rows to the TSV rendering.
-    """
-    if isinstance(report, HoeffdingDecomposition):
-        text = _render_decomposition(report, fmt, measure)
-    elif isinstance(report, DecomposabilityReport):
-        text = _render_decomposability(report, fmt)
-    elif isinstance(report, Classification):
-        text = _render_classification(report, fmt)
-    elif isinstance(report, SampleReport):
-        text = _render_sample(report, fmt)
-    else:
-        raise TypeError(f"no renderer for {type(report).__name__}")
-    return text if text.endswith("\n") else text + "\n"
+# One renderer per report type, each with stable field ordering in both
+# formats and a trailing newline.
 
 
 def _render_decomposition(
-    report: HoeffdingDecomposition, fmt: str, measure: Optional[DeFinettiMeasure]
+    report: HoeffdingDecomposition, fmt: str, measure: Optional[DeFinettiMeasure] = None
 ) -> str:
+    """Passing the measure adds exact orthogonality-check footer rows to the
+    TSV rendering."""
     if fmt == "json":
         return json.dumps(
             {
@@ -188,12 +176,14 @@ def _render_decomposition(
                     [format_rational(v) for v in comp.values] for comp in report.components
                 ],
             }
-        )
+        ) + "\n"
     lines = [f"measure\t{report.measure_digest}", f"mean\t{format_rational(report.mean)}"]
     for k, comp in enumerate(report.components):
         values = "\t".join(format_rational(v) for v in comp.values)
         lines.append(f"component\t{k}\t{values}")
     if measure is not None:
+        from .symmetric import pairwise_inner_products
+
         products = pairwise_inner_products(report.components, measure)
         lines.extend(
             f"orthogonality\t{i}:{j}\t{format_rational(product)}"
@@ -251,6 +241,8 @@ def _render_decomposability(
 
 
 def _render_classification(result: Classification, fmt: str) -> str:
+    from .dynamics import ClassificationKind
+
     witness = result.witness
     if fmt == "json":
         return json.dumps(
@@ -267,7 +259,7 @@ def _render_classification(result: Classification, fmt: str) -> str:
                 "witness": list(witness) if isinstance(witness, tuple) else witness,
                 "verified_order": result.verified_order,
             }
-        )
+        ) + "\n"
     lines = [f"kind\t{result.kind.value}"]
     if result.kind is ClassificationKind.NOT_DECOMPOSABLE:
         if isinstance(witness, tuple):
@@ -306,7 +298,7 @@ def _render_sample(report: SampleReport, fmt: str) -> str:
                 "histogram": list(report.zero_count_histogram),
                 "comparison": comparison,
             }
-        )
+        ) + "\n"
     lines = [
         f"n\t{report.n}",
         f"trials\t{report.trials}",
@@ -334,7 +326,7 @@ def _render_sample(report: SampleReport, fmt: str) -> str:
 
 
 def _cmd_moments(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    measure = _read_measure(args.measure)
     if args.max_n < 0:
         raise ParseError("--max-n must be non-negative")
     values = [measure.moment(n) for n in range(args.max_n + 1)]
@@ -347,7 +339,7 @@ def _cmd_moments(args) -> tuple[int, str]:
 
 
 def _cmd_probabilities(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    measure = _read_measure(args.measure)
     if args.n < 0:
         raise ParseError("--n must be non-negative")
     n = args.n
@@ -370,7 +362,9 @@ def _cmd_probabilities(args) -> tuple[int, str]:
 
 
 def _cmd_kernel(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    from .engine import canonical_degenerate_kernel
+
+    measure = _read_measure(args.measure)
     kernel = canonical_degenerate_kernel(measure, args.n)
     if args.format == "json":
         return 0, json.dumps(
@@ -385,14 +379,19 @@ def _cmd_kernel(args) -> tuple[int, str]:
 
 
 def _cmd_project(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    from .engine import hoeffding_decomposition
+    from .symmetric import parse_statistic_spec
+
+    measure = _read_measure(args.measure)
     statistic = parse_statistic_spec(_read(args.statistic))
     report = hoeffding_decomposition(statistic, measure)
-    return 0, render_report(report, args.format, measure=measure)
+    return 0, _render_decomposition(report, args.format, measure)
 
 
 def _cmd_check(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    from .engine import Verdict, check_decomposable, level_subspace_check
+
+    measure = _read_measure(args.measure)
     if args.max_n < 2:
         raise ParseError("--max-n must be at least 2")
     method = args.method
@@ -418,6 +417,8 @@ def _cmd_check(args) -> tuple[int, str]:
 
 
 def _render_definition_only(rows, n_max: int, fmt: str) -> str:
+    from .engine import Verdict
+
     verdict = (
         Verdict.DECOMPOSABLE_UP_TO_N_MAX
         if all(ok for _, ok in rows)
@@ -443,13 +444,17 @@ def _render_definition_only(rows, n_max: int, fmt: str) -> str:
 
 
 def _cmd_classify(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    from .dynamics import ClassificationKind, classify
+
+    measure = _read_measure(args.measure)
     result = classify(measure, args.max_n)
     code = 1 if result.kind is ClassificationKind.NOT_DECOMPOSABLE else 0
-    return code, render_report(result, args.format)
+    return code, _render_classification(result, args.format)
 
 
 def _cmd_recover_beta(args) -> tuple[int, str]:
+    from .dynamics import recover_beta
+
     fitted = recover_beta(parse_rational(args.c1), parse_rational(args.c2))
     alpha, beta = map(format_rational, fitted)
     if args.format == "json":
@@ -458,7 +463,9 @@ def _cmd_recover_beta(args) -> tuple[int, str]:
 
 
 def _cmd_recursion(args) -> tuple[int, str]:
-    measure = parse_measure_spec(_read(args.measure))
+    from .dynamics import moment_recursion_residual
+
+    measure = _read_measure(args.measure)
     if args.max_n < 2:
         raise ParseError("--max-n must be at least 2")
     rows = [
@@ -485,15 +492,17 @@ def _cmd_recursion(args) -> tuple[int, str]:
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
+    from .montecarlo import compare_exact_empirical, parse_urn_spec, urn_histogram
+
     if (args.measure is None) == (args.urn is None):
         raise ParseError("exactly one of --measure and --urn is required")
     if args.measure is not None:
-        measure = parse_measure_spec(_read(args.measure))
+        measure = _read_measure(args.measure)
         report = compare_exact_empirical(measure, args.n, args.trials, args.seed)
     else:
         spec = parse_urn_spec(_read(args.urn))
         report = urn_histogram(spec, args.n, args.trials, args.seed)
-    return 0, render_report(report, args.format)
+    return 0, _render_sample(report, args.format)
 
 
 _HANDLERS = {

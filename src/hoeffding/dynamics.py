@@ -23,7 +23,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .engine import Triple, _certified_residual
 from .errors import (
     IndexRangeError,
     InternalError,
@@ -40,7 +39,7 @@ class ClassificationKind(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-Witness = Union[Triple, int]
+Witness = Union[tuple[int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,9 @@ def classify(measure: DeFinettiMeasure, n_max: int) -> Classification:
             ClassificationKind.NOT_DECOMPOSABLE, witness=mismatch, verified_order=mismatch
         )
     if mismatch is not None:
+        # the scan's layers load only for a witness past the moments
+        from .engine import _certified_residual
+
         # the first triple in scan order that reads moment `mismatch`
         witness = (mismatch // 2 + 1, (mismatch + 1) // 2, 0)
         if _certified_residual(measure, *witness) == 0:

@@ -6,9 +6,9 @@ enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
 conditional expectation), the per-bit sampling oracle, and the
-scaffolding only tests use: ``parse_report`` (the JSON report round
-trip), the finite urn law, the two-term degeneracy residual, the
-affine-predictive helpers, the moment-region sampler and
+scaffolding only tests use: ``render_report`` and ``parse_report`` (the
+JSON report round trip), the finite urn law, the two-term degeneracy
+residual, the affine-predictive helpers, the moment-region sampler and
 ``run_optimized`` (a script under ``python -O``).
 
 The oracles are deliberately naive: they evaluate configuration
@@ -51,6 +51,12 @@ from hoeffding import (
     UrnSpec,
     Verdict,
     check_decomposable,
+)
+from hoeffding.cli import (
+    _render_classification,
+    _render_decomposability,
+    _render_decomposition,
+    _render_sample,
 )
 from hoeffding.montecarlo import ComparisonRow, trial_stream
 from hoeffding.rationals import parse_rational
@@ -351,6 +357,25 @@ def scan_classify(measure, n_max):
 # ---------------------------------------------------------------------------
 # JSON report round trip
 # ---------------------------------------------------------------------------
+
+
+def render_report(report, fmt: str, measure=None) -> str:
+    """Render any report object with the CLI's renderer for its type.
+
+    The verbs call their renderers directly; this dispatch on the report
+    type serves the round trip through ``parse_report``. For
+    decompositions, passing the measure adds the orthogonality footer rows
+    to the TSV rendering.
+    """
+    if isinstance(report, HoeffdingDecomposition):
+        return _render_decomposition(report, fmt, measure)
+    if isinstance(report, DecomposabilityReport):
+        return _render_decomposability(report, fmt)
+    if isinstance(report, Classification):
+        return _render_classification(report, fmt)
+    if isinstance(report, SampleReport):
+        return _render_sample(report, fmt)
+    raise TypeError(f"no renderer for {type(report).__name__}")
 
 
 def parse_report(text: str):

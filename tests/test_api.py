@@ -1,11 +1,16 @@
 """The public surface of the package: the pinned ``__all__``, the names the
-package imports, the version, the absence of ``assert`` statements in
-library code (``python -O`` strips them, so invariants must raise), and of
-module-global state but one sanctioned cache."""
+package resolves lazily and the modules that define them, the version, the
+absence of ``assert`` statements in library code (``python -O`` strips
+them, so invariants must raise), and of module-global state but one
+sanctioned cache."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import hoeffding
 
@@ -78,14 +83,42 @@ def test_every_public_name_resolves():
 
 
 def test_all_matches_the_imported_names():
+    # the names the package resolves lazily are the keys of its table
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    imported = [
-        alias.asname or alias.name
+    (table,) = [
+        node.value
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets] == ["_HOMES"]
     ]
-    assert sorted(imported) == sorted(hoeffding.__all__)
+    assert sorted(ast.literal_eval(table)) == sorted(hoeffding.__all__)
+
+
+def test_import_loads_no_submodule():
+    script = "import sys, hoeffding; print([m for m in sys.modules if m.startswith('hoeffding.')])"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_star_import_binds_each_name_to_its_defining_module():
+    namespace = {}
+    exec("from hoeffding import *", namespace)
+    for name in hoeffding.__all__:
+        value = namespace[name]
+        assert value.__module__.startswith("hoeffding."), name
+        assert vars(sys.modules[value.__module__])[name] is value, name
+    # sys.modules is the only cache: resolving a name binds nothing here
+    assert not set(hoeffding.__all__) & set(vars(hoeffding))
+
+
+def test_dir_lists_the_public_names():
+    assert set(hoeffding.__all__) <= set(dir(hoeffding))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hoeffding.no_such_name
+    assert not hasattr(hoeffding, "_certified_residual")
 
 
 def test_library_has_no_assert_statements():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import hoeffding
 from hoeffding import (
     DeFinettiMeasure,
     InternalError,
@@ -20,11 +21,11 @@ from hoeffding import (
     compare_exact_empirical,
     hoeffding_decomposition,
 )
-from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch, render_report
+from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch
 from hoeffding.measures import MAX_MOMENT_ORDER
 from hoeffding.symmetric import MAX_STATISTIC_ARITY
 from hoeffding.rationals import format_rational, parse_rational
-from conftest import parse_report, twopoint, unif_half, urn_law
+from conftest import parse_report, render_report, twopoint, unif_half, urn_law
 
 F = Fraction
 
@@ -625,6 +626,84 @@ class TestGoldenOutput:
         argv = [files.get(token, token) for token in case] + ["--format", fmt]
         code, out, err = dispatch(argv)
         assert (code, out, err) == (expected["code"], expected["stdout"], "")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=" ".join)
+    def test_fresh_interpreter_matches_recorded_output(self, files, case, fmt):
+        # in a fresh process a verb has only the imports it makes itself,
+        # whereas in-process every module is already loaded
+        expected = GOLDEN[" ".join(case + ["--format", fmt])]
+        argv = [files.get(token, token) for token in case] + ["--format", fmt]
+        result = subprocess.run(
+            [sys.executable, "-m", "hoeffding", *argv], capture_output=True
+        )
+        assert (result.returncode, result.stdout) == (
+            expected["code"],
+            expected["stdout"].encode("utf-8"),
+        )
+
+
+# the hoeffding modules besides cli, errors and rationals that one request
+# loads: each verb imports only the layers it runs
+ENGINE_LAYERS = ["engine", "linalg", "measures", "symmetric"]
+LOADED_PER_VERB = [
+    (["--help"], []),
+    (["--version"], []),
+    (["moments", "--measure", "beta11.json", "--max-n", "3"], ["measures"]),
+    (["probabilities", "--measure", "twopoint.json", "--n", "3"], ["measures"]),
+    (["kernel", "--measure", "unif_half.json", "--n", "2"], ENGINE_LAYERS),
+    (["project", "--measure", "dirac12.json", "--statistic", "stat.json"], ENGINE_LAYERS),
+    (["check", "--measure", "beta11.json", "--max-n", "3"], ENGINE_LAYERS),
+    (["classify", "--measure", "beta11.json", "--max-n", "4"], ["dynamics", "measures"]),
+    # a witness past the compared moments is certified by the scan's layers
+    (["classify", "--measure", "twopoint.json", "--max-n", "3"], ["dynamics", *ENGINE_LAYERS]),
+    (["recover-beta", "--c1", "1/2", "--c2", "3/10"], ["dynamics", "measures"]),
+    (["recursion", "--measure", "unif_half.json", "--max-n", "4"], ["dynamics", "measures"]),
+    (
+        ["simulate", "--measure", "beta11.json", "--n", "4", "--trials", "1000", "--seed", "7"],
+        ["measures", "montecarlo"],
+    ),
+    (
+        ["simulate", "--urn", "urn.json", "--n", "4", "--trials", "1000", "--seed", "7"],
+        ["measures", "montecarlo"],
+    ),
+]
+# runs the package as ``python -m hoeffding`` does, then lists the loaded
+# hoeffding modules on stderr
+LIST_LOADED = """
+import json, runpy, sys
+try:
+    runpy.run_module("hoeffding", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+loaded = sorted(name for name in sys.modules if name.startswith("hoeffding."))
+sys.stderr.write(json.dumps(loaded))
+"""
+
+
+class TestStartUp:
+    @pytest.mark.parametrize(
+        "argv,layers", LOADED_PER_VERB, ids=[" ".join(argv[:3]) for argv, _ in LOADED_PER_VERB]
+    )
+    def test_request_loads_only_its_layers(self, files, argv, layers):
+        argv = [files.get(token, token) for token in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", LIST_LOADED, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = {"cli", "errors", "rationals", *layers}
+        assert json.loads(result.stderr) == sorted(f"hoeffding.{name}" for name in loaded)
+
+    def test_version(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "hoeffding", "--version"], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0,
+            f"hoeffding {hoeffding.__version__}\n",
+            "",
+        )
+        assert dispatch(["--version"]) == (0, result.stdout, "")
 
 
 class TestDeterminism:

@@ -376,9 +376,9 @@ class TestClassify:
     def test_zero_candidate_residual_raises(self, monkeypatch):
         # the first triple reading the mismatched moment has a nonzero
         # residual, so a zero there is a library fault, not a verdict
-        import hoeffding.dynamics
+        import hoeffding.engine
 
-        monkeypatch.setattr(hoeffding.dynamics, "_certified_residual", lambda *triple: F(0))
+        monkeypatch.setattr(hoeffding.engine, "_certified_residual", lambda *triple: F(0))
         with pytest.raises(InternalError, match=r"residual at \(3, 2, 0\) vanishes"):
             classify(twopoint(), 3)
 
