@@ -28,10 +28,12 @@ The two residual routes are tied by the exact identity
 
 so they vanish simultaneously. A scan computes each row (n, u) once, as
 integer numerators over the common denominator of the integer row of
-order n+u-1 and the reciprocal row of order n (see
-:mod:`hoeffding.measures`), and passes it by value: the residuals are
-those numerators over that denominator, and the weak row is the same
-numerators scaled by the identity, one ``Fraction`` per value. The checks
+order n+u-1 (see :mod:`hoeffding.measures`) and the reciprocal row of
+order n, and passes it by value: the residuals are those numerators over
+that denominator, and the weak row is the same numerators scaled by the
+identity, one ``Fraction`` per value. The reciprocal row is built in this
+module from the integer row of order n (``_reciprocal_row``), once per n
+in a scan and once for a single certified residual. The checks
 are against the definitions, in code that reads neither that sum nor the
 reciprocal row:
 
@@ -57,7 +59,12 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import linalg
-from .errors import IndexRangeError, InternalError, ParameterRangeError
+from .errors import (
+    DeterministicMeasureError,
+    IndexRangeError,
+    InternalError,
+    ParameterRangeError,
+)
 from .measures import DeFinettiMeasure
 from .rationals import binom
 from .symmetric import (
@@ -281,20 +288,38 @@ def decomposability_residual(
     return total
 
 
+def _reciprocal_row(ints: tuple[int, ...], common: int) -> tuple[tuple[int, ...], int]:
+    """``(r, L)`` with ``r[i] / L == common / ints[i]``, the reciprocals of
+    the integer row ``(ints, common)``, and ``L`` the lcm of the row's
+    numerators: one gcd per entry puts ``ints[i] / common`` in lowest
+    terms."""
+    numerators, denominators = [], []
+    for i, x in enumerate(ints):
+        if x == 0:
+            raise DeterministicMeasureError(
+                f"conditioning event has probability zero (zeros={i})"
+            )
+        g = math.gcd(x, common)
+        numerators.append(x // g)
+        denominators.append(common // g)
+    least = math.lcm(*numerators)
+    return tuple(d * (least // p) for p, d in zip(numerators, denominators)), least
+
+
 def _residual_numerators(
-    measure: DeFinettiMeasure, n: int, u: int
+    measure: DeFinettiMeasure, n: int, u: int, reciprocal_row: tuple[tuple[int, ...], int]
 ) -> tuple[list[int], int]:
     """``(t, C)`` with ``t[z] / C`` the residual at (n, u, z), z = 0..n-1.
 
     With the integer row ``(I, D)`` of order n+u-1 and the reciprocal row
-    ``(r, L)`` of order n, C = D L and
+    ``(r, L)`` of order n (``_reciprocal_row``), C = D L and
 
         t[z] = sum_k C(n-u,k) C(u-1,z-k) sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m].
 
     Callers check non-determinism up to order n+u-1 first.
     """
     ints, common = measure._int_row(n + u - 1)
-    reciprocals, reciprocal_common = measure._reciprocal_row(n)
+    reciprocals, reciprocal_common = reciprocal_row
     v, w = n - u, u - 1
     # the binomials and the signed reciprocal blocks depend on (n, u) only
     choose_u = [math.comb(u, m) for m in range(u + 1)]
@@ -376,7 +401,9 @@ def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fr
     """The residual at one triple, read from its row and certified on both
     routes, as a scan certifies its witness, when it is nonzero."""
     measure.require_nondeterministic(n + u - 1)
-    numerators, common = _residual_numerators(measure, n, u)
+    numerators, common = _residual_numerators(
+        measure, n, u, _reciprocal_row(*measure._int_row(n))
+    )
     primary = Fraction(numerators[z], common)
     if primary:
         row = _weak_residual_row(measure, n, u, numerators, common)
@@ -430,8 +457,9 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
     witness: Optional[Triple] = None
     certified_row = (n_max, max(2, (n_max + 1) // 2))
     for n in range(2, n_max + 1):
+        reciprocal_row = _reciprocal_row(*measure._int_row(n))
         for u in range(2, n + 1):
-            numerators, common = _residual_numerators(measure, n, u)
+            numerators, common = _residual_numerators(measure, n, u, reciprocal_row)
             row = _weak_residual_row(measure, n, u, numerators, common)
             for z, t in enumerate(numerators):
                 triple = (n, u, z)

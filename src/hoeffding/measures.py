@@ -7,12 +7,11 @@ of i.i.d. Bernoulli sequences; the mixing law on [0,1] determines everything.
 ``BETA``
     Beta(alpha, beta) with positive rational parameters; moments come from
     the rational product ``mu_n = prod_{i<n} (alpha+i)/(alpha+beta+i)``,
-    one factor per order on top of the cached ``mu_{n-1}``.
+    one factor per order on top of ``mu_{n-1}``.
 ``DISCRETE``
     A finite mixture of point masses at rational locations in [0,1];
     a single atom gives an i.i.d. sequence. Moments are ``sum_i w_i x_i^n``
-    on one common denominator, over cached integer powers of the atoms,
-    one factor per atom per order.
+    on one common denominator.
 ``MOMENTS``
     A truncated moment sequence ``mu_0..mu_M`` whose configuration rows are
     non-negative up to order ``M``: the moments of an exchangeable law on
@@ -29,11 +28,11 @@ row ``P_n(0..n)`` at a time by the marginalisation identity
 (a length-(n-1) configuration extends by a one or a zero). The identity
 ``P_{n-1}(j) = P_n(j) + P_n(j+1)`` also means a positive row n makes every
 lower row positive, so non-determinism up to order n is a test of row n
-alone, and once row n has passed every order up to n is answered without
-a scan.
+alone.
 
-The rows are built and cached as integers. The integer row
-``(ints, D_n)`` has ``D_n`` the lcm of the row's denominators and
+A measure keeps one table, order n -> ``(mu_n, ints, D_n, positive)``,
+filled one order at a time from the highest cached order. The integer
+row ``(ints, D_n)`` has ``D_n`` the lcm of the row's denominators and
 ``ints[j] = P_n(j) * D_n``. Row n puts row n-1 and ``mu_n`` over
 ``D_n = lcm(D_{n-1}, den mu_n)`` and takes one integer subtraction per
 entry. That is already the least common denominator of row n, so no gcd
@@ -42,24 +41,18 @@ have denominators that divide the least one, which is therefore a
 multiple of ``D_{n-1}`` and of ``den mu_n``. By induction ``D_n`` is the
 lcm of the denominators of ``mu_0..mu_n``. Each new row is checked
 against total probability, ``sum_j C(n,j) ints[j] == D_n``, which
-catches a wrong scale or sign and raises ``InternalError``. Two forms
-are derived from the integer row:
+catches a wrong scale or sign and raises ``InternalError``, and
+``positive`` records whether every entry of row n is positive.
+:meth:`~DeFinettiMeasure.config_probability` builds one ``Fraction`` per
+call from the integer row; sums over configuration probabilities run as
+integer dot products with one ``Fraction`` per result.
 
-* the reciprocal row ``(r, L_n)``: ``L_n`` is the lcm of the row's
-  numerators and ``r[i] / L_n = 1 / P_n(i)``;
-* on demand, the ``Fraction`` row behind
-  :meth:`~DeFinettiMeasure.config_probability`.
-
-Sums over configuration probabilities then run as integer dot products
-with one ``Fraction`` per result. Every cache is a pure function of the
-moments, so concurrent fills store equal values (the non-determinism
-order stores only orders that were verified), and instances are safe to
-share across threads.
+Every record is a pure function of the moments, so concurrent fills store
+equal values, and instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,7 +68,7 @@ from .errors import (
     OrderExceededError,
     ParseError,
 )
-from .rationals import binom, format_rational, parse_rational
+from .rationals import binom, format_rational, load_json, parse_rational
 
 # Largest moment order of a measure document: ``check --max-n 32`` reads
 # orders up to 2 * 32 - 1. Parsing costs roughly the cube of the order; on a
@@ -103,13 +96,8 @@ class DeFinettiMeasure:
     beta_beta: Optional[Fraction] = None
     atoms: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
     moment_values: Optional[tuple[Fraction, ...]] = None
-    _moments: dict = field(default_factory=dict, compare=False, repr=False)
-    _atom_powers: dict = field(default_factory=dict, compare=False, repr=False)
-    _rows: dict = field(default_factory=dict, compare=False, repr=False)
-    _int_rows: dict = field(default_factory=dict, compare=False, repr=False)
-    _reciprocal_rows: dict = field(default_factory=dict, compare=False, repr=False)
-    # highest order whose row was found all positive (-1: none yet)
-    _positive_order: list = field(default_factory=lambda: [-1], compare=False, repr=False)
+    # order n -> (mu_n, ints, D_n, positive), see the module docstring
+    _orders: dict = field(default_factory=dict, compare=False, repr=False)
 
     # -- factories -------------------------------------------------------
 
@@ -203,108 +191,45 @@ class DeFinettiMeasure:
         """The n-th moment of the mixing law, exactly."""
         if n < 0:
             raise IndexRangeError("moment order must be non-negative")
-        self._require_order(n)
-        cached = self._moments.get(n)
-        if cached is not None:
-            return cached
-        if self.kind is MeasureKind.BETA:
-            return self._beta_moment(n)
-        if self.kind is MeasureKind.DISCRETE:
-            return self._discrete_moment(n)
-        value = self.moment_values[n]
-        self._moments[n] = value
-        return value
-
-    def _beta_moment(self, n: int) -> Fraction:
-        """mu_n = mu_{n-1} (alpha+n-1)/(alpha+beta+n-1), extending the cached
-        moments up to order n.
-
-        With alpha = p/q and beta = r/s the factor of order m is the
-        quotient of integers (p + (m-1) q) s / (p s + r q + (m-1) q s), so
-        each new order costs two integer products and one ``Fraction``.
-        """
-        start = n
-        while start > 0 and start - 1 not in self._moments:
-            start -= 1
-        value = self._moments[start - 1] if start else Fraction(1)
-        p, q = self.beta_alpha.numerator, self.beta_alpha.denominator
-        r, s = self.beta_beta.numerator, self.beta_beta.denominator
-        for m in range(start, n + 1):
-            if m:
-                value = Fraction(
-                    value.numerator * (p + (m - 1) * q) * s,
-                    value.denominator * (p * s + r * q + (m - 1) * q * s),
-                )
-            value = self._moments.setdefault(m, value)
-        return value
-
-    def _discrete_moment(self, n: int) -> Fraction:
-        """mu_n = sum_i w_i x_i^n on one common denominator, extending the
-        cached per-atom powers up to order n.
-
-        With w_i = c_i/d_i and x_i = a_i/b_i, order m caches the integer
-        pairs (c_i a_i^m, d_i b_i^m): one integer factor per atom per new
-        order, and one ``Fraction`` per moment.
-        """
-        powers = self._atom_powers
-        start = n
-        while start > 0 and start - 1 not in powers:
-            start -= 1
-        if start:
-            numerators, denominators = powers[start - 1]
-        else:
-            numerators = tuple(w.numerator for _, w in self.atoms)
-            denominators = tuple(w.denominator for _, w in self.atoms)
-        for m in range(start, n + 1):
-            if m:
-                numerators = tuple(c * x.numerator for c, (x, _) in zip(numerators, self.atoms))
-                denominators = tuple(d * x.denominator for d, (x, _) in zip(denominators, self.atoms))
-            numerators, denominators = powers.setdefault(m, (numerators, denominators))
-            common = math.lcm(*denominators)
-            total = sum(c * (common // d) for c, d in zip(numerators, denominators))
-            value = self._moments.setdefault(m, Fraction(total, common))
-        return value
+        return self._order(n)[0]
 
     def config_probability(self, n: int, zeros: int) -> Fraction:
-        """P(a fixed length-n configuration with the given zero count).
-
-        Read from the ``Fraction`` row of order n, which is derived from the
-        integer row on the first such call and cached.
-        """
+        """P(a fixed length-n configuration with the given zero count),
+        read from the integer row of order n."""
         if n < 0 or not 0 <= zeros <= n:
             raise IndexRangeError(f"need 0 <= zeros <= n, got n={n} zeros={zeros}")
-        self._require_order(n)
-        return self._row(n)[zeros]
-
-    def _row(self, n: int) -> tuple[Fraction, ...]:
-        """``(P_n(0), ..., P_n(n))`` as ``Fraction``s, from the integer row."""
-        row = self._rows.get(n)
-        if row is not None:
-            return row
-        ints, common = self._int_row(n)
-        return self._rows.setdefault(n, tuple(Fraction(x, common) for x in ints))
+        _, ints, common, _ = self._order(n)
+        return Fraction(ints[zeros], common)
 
     def _int_row(self, n: int) -> tuple[tuple[int, ...], int]:
         """``(ints, D_n)`` with ``ints[j] / D_n == P_n(j)`` and ``D_n`` the lcm
-        of the row's denominators, extending the cached rows up to order n.
+        of the row's denominators."""
+        _, ints, common, _ = self._order(n)
+        return ints, common
 
-        Each new row m is the marginalisation identity on integers over
-        ``D_m = lcm(D_{m-1}, den mu_m)``, checked against total probability
-        (see the module docstring).
+    def _order(self, n: int) -> tuple[Fraction, tuple[int, ...], int, bool]:
+        """The record ``(mu_n, ints, D_n, positive)`` of order n, extending
+        the cached records up to order n.
+
+        Each new order m takes mu_m from the kind's step, builds its row by
+        the marginalisation identity on integers over
+        ``D_m = lcm(D_{m-1}, den mu_m)``, checks the row against total
+        probability and notes whether every entry is positive (see the
+        module docstring).
         """
-        rows = self._int_rows
-        cached = rows.get(n)
-        if cached is not None:
-            return cached
+        orders = self._orders
+        record = orders.get(n)
+        if record is not None:
+            return record
         if n < 0:
             raise IndexRangeError("order must be non-negative")
         self._require_order(n)
         start = n
-        while start > 0 and start - 1 not in rows:
+        while start > 0 and start - 1 not in orders:
             start -= 1
-        ints, common = rows[start - 1] if start else ((), 1)
+        mu, ints, common, _ = orders[start - 1] if start else (None, (), 1, True)
         for m in range(start, n + 1):
-            mu = self.moment(m)
+            mu = self._next_moment(m, mu)
             denominator = math.lcm(common, mu.denominator)
             step = denominator // common
             entry = mu.numerator * (denominator // mu.denominator)
@@ -317,29 +242,38 @@ class DeFinettiMeasure:
                 raise InternalError(
                     f"configuration row {m} has total probability {total}/{denominator}, not 1"
                 )
-            ints, common = rows.setdefault(m, (tuple(current), denominator))
-        return ints, common
+            record = (mu, tuple(current), denominator, min(current) > 0)
+            mu, ints, common, _ = record = orders.setdefault(m, record)
+        return record
 
-    def _reciprocal_row(self, n: int) -> tuple[tuple[int, ...], int]:
-        """``(r, L_n)`` with ``r[i] / L_n == 1 / P_n(i)`` and ``L_n`` the lcm of
-        the row's numerators, read from the integer row: one gcd per entry
-        puts ``P_n(i) = ints[i] / D_n`` in lowest terms."""
-        cached = self._reciprocal_rows.get(n)
-        if cached is not None:
-            return cached
-        ints, common = self._int_row(n)
-        numerators, denominators = [], []
-        for i, x in enumerate(ints):
-            if x == 0:
-                raise DeterministicMeasureError(
-                    f"conditioning event has probability zero (n={n}, zeros={i})"
-                )
-            g = math.gcd(x, common)
-            numerators.append(x // g)
-            denominators.append(common // g)
-        least = math.lcm(*numerators)
-        r = tuple(d * (least // p) for p, d in zip(numerators, denominators))
-        return self._reciprocal_rows.setdefault(n, (r, least))
+    def _next_moment(self, m: int, previous: Optional[Fraction]) -> Fraction:
+        """mu_m, given mu_{m-1} (None when m is 0).
+
+        * Beta: mu_m = mu_{m-1} (alpha+m-1)/(alpha+beta+m-1). With
+          alpha = p/q and beta = r/s the factor is the quotient of integers
+          (p + (m-1) q) s / (p s + r q + (m-1) q s), so each order costs two
+          integer products and one ``Fraction``.
+        * Discrete: with w_i = c_i/d_i and x_i = a_i/b_i,
+          mu_m = sum_i c_i a_i^m / (d_i b_i^m) on one common denominator.
+        * Moments: the stored value.
+        """
+        if self.kind is MeasureKind.BETA:
+            if not m:
+                return Fraction(1)
+            p, q = self.beta_alpha.numerator, self.beta_alpha.denominator
+            r, s = self.beta_beta.numerator, self.beta_beta.denominator
+            return Fraction(
+                previous.numerator * (p + (m - 1) * q) * s,
+                previous.denominator * (p * s + r * q + (m - 1) * q * s),
+            )
+        if self.kind is MeasureKind.DISCRETE:
+            terms = [
+                (w.numerator * x.numerator**m, w.denominator * x.denominator**m)
+                for x, w in self.atoms
+            ]
+            common = math.lcm(*(d for _, d in terms))
+            return Fraction(sum(c * (common // d) for c, d in terms), common)
+        return self.moment_values[m]
 
     # -- conditional and predictive probabilities ------------------------
 
@@ -372,24 +306,12 @@ class DeFinettiMeasure:
 
         Equivalent to the mixing law's support not being contained in {0, 1},
         once n_max >= 2. Row n_max alone decides it: each lower entry is the
-        sum of two entries of the row above. So the highest order found
-        positive is remembered, and every order up to it answers at once.
+        sum of two entries of the row above, and the record of order n_max
+        notes whether that row is positive.
         """
         if n_max < 0:
             raise IndexRangeError("n_max must be non-negative")
-        verified = self._positive_order
-        # a verified order has passed the order check
-        if n_max <= verified[0]:
-            return True
-        self._require_order(n_max)
-        ints, _ = self._int_row(n_max)
-        if min(ints) <= 0:
-            return False
-        # a racing store may leave a lower verified order in place, which
-        # costs a later rescan and never a wrong answer
-        if n_max > verified[0]:
-            verified[0] = n_max
-        return True
+        return self._order(n_max)[3]
 
     def require_nondeterministic(self, n_max: int) -> None:
         if not self.is_nondeterministic(n_max):
@@ -412,10 +334,7 @@ def parse_measure_spec(document: str) -> DeFinettiMeasure:
     non-negative configuration rows up to their order. Orders above
     ``MAX_MOMENT_ORDER`` are refused before any moment is computed.
     """
-    try:
-        payload = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    payload = load_json(document)
     if not isinstance(payload, dict):
         raise ParseError("measure document must be a JSON object")
     kind = payload.get("type")

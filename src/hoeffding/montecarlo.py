@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import json
-
 from .errors import (
     InternalError,
     ParameterRangeError,
@@ -46,7 +44,7 @@ from .errors import (
     UnsamplableKindError,
 )
 from .measures import DeFinettiMeasure, MeasureKind
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, load_json, parse_rational
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 increment and finalizer multipliers
@@ -199,10 +197,7 @@ def parse_urn_spec(document: str) -> UrnSpec:
     Form: {"f": {"type": "identity"} | {"type": "constant", "value": "p/q"}
     | {"type": "table", "points": [["x","y"], ...]}, "r": 1, "b": 1}.
     """
-    try:
-        payload = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    payload = load_json(document)
     if not isinstance(payload, dict) or set(payload) != {"f", "r", "b"}:
         raise ParseError('urn document must be {"f": ..., "r": ..., "b": ...}')
     fspec = payload["f"]
@@ -220,9 +215,12 @@ def parse_urn_spec(document: str) -> UrnSpec:
     elif ftype == "table":
         if set(fspec) != {"type", "points"} or not isinstance(fspec["points"], list):
             raise ParseError('table reinforcement needs a "points" list')
-        f = ReinforcementFunction.table(
-            [(parse_rational(x), parse_rational(y)) for x, y in fspec["points"]]
-        )
+        points = []
+        for point in fspec["points"]:
+            if not isinstance(point, list) or len(point) != 2:
+                raise ParseError("each table point must be an [x, y] pair")
+            points.append((parse_rational(point[0]), parse_rational(point[1])))
+        f = ReinforcementFunction.table(points)
     else:
         raise ParseError(f"unknown reinforcement type: {ftype!r}")
     r, b = payload["r"], payload["b"]

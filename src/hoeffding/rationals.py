@@ -1,4 +1,5 @@
-"""Rational parsing/formatting and binomial coefficients.
+"""Rational parsing/formatting, binomial coefficients and the JSON loader
+shared by the document parsers.
 
 The whole deterministic side of the library works in exact rationals
 (:class:`fractions.Fraction`); floats appear only in the Monte Carlo module.
@@ -8,6 +9,7 @@ with decimal integers, never as binary floats.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -27,6 +29,20 @@ def parse_rational(text: str) -> Fraction:
     num = _integer(m.group(1))
     den = _integer(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def load_json(document: str):
+    """The value of a JSON document. Malformed JSON, a number longer than
+    the int conversion digit limit, and nesting too deep for the decoder's
+    recursion raise ``ParseError``."""
+    try:
+        return json.loads(document)
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # json.JSONDecodeError is a ValueError, and so is a number with more
+        # digits than sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:

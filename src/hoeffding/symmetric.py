@@ -21,7 +21,6 @@ Bareiss (1968).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .measures import DeFinettiMeasure
-from .rationals import parse_rational
+from .rationals import load_json, parse_rational
 
 
 def _as_fraction(value) -> Fraction:
@@ -306,10 +305,7 @@ def parse_statistic_spec(document: str) -> SymmetricFunction:
     arity above ``MAX_STATISTIC_ARITY`` are refused before any value is
     parsed.
     """
-    try:
-        payload = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    payload = load_json(document)
     if not isinstance(payload, dict) or set(payload) != {"n", "values"}:
         raise ParseError('statistic document must be {"n": ..., "values": [...]}')
     n = payload["n"]

@@ -8,8 +8,9 @@ Stieltjes recurrence, the inner product, the lift and the prefix
 conditional expectation), the per-bit sampling oracle, and the
 scaffolding only tests use: ``render_report`` and ``parse_report`` (the
 JSON report round trip), the finite urn law, the two-term degeneracy
-residual, the affine-predictive helpers, the moment-region sampler and
-``run_optimized`` (a script under ``python -O``).
+residual, the affine-predictive helpers, the moment-region sampler,
+``child_env`` (the environment of a child interpreter that imports this
+source tree) and ``run_optimized`` (a script under ``python -O``).
 
 The oracles are deliberately naive: they evaluate configuration
 probabilities by per-kind closed forms or alternating binomial sums,
@@ -962,11 +963,17 @@ def sample_moment_region(count, seed=DEFAULT_REGION_SEED, max_denominator=10**6)
 # ---------------------------------------------------------------------------
 
 
-def run_optimized(script):
-    """Run a Python script under ``python -O`` against this source tree."""
+def child_env():
+    """The environment of a child interpreter that imports this source tree:
+    the caller's, with the tree's source root first on ``PYTHONPATH``."""
     source_root = os.path.dirname(os.path.dirname(hoeffding.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_optimized(script):
+    """Run a Python script under ``python -O`` against this source tree."""
     return subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env()
     )

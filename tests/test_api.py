@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hoeffding
+from conftest import child_env
 
 PUBLIC_NAMES = [
     "ArityMismatchError",
@@ -96,7 +97,9 @@ def test_all_matches_the_imported_names():
 
 def test_import_loads_no_submodule():
     script = "import sys, hoeffding; print([m for m in sys.modules if m.startswith('hoeffding.')])"
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 

@@ -20,12 +20,15 @@ from hoeffding import (
     classify,
     compare_exact_empirical,
     hoeffding_decomposition,
+    parse_measure_spec,
+    parse_statistic_spec,
+    parse_urn_spec,
 )
 from hoeffding.cli import MAX_ORDER, MAX_TRIALS, dispatch
 from hoeffding.measures import MAX_MOMENT_ORDER
 from hoeffding.symmetric import MAX_STATISTIC_ARITY
 from hoeffding.rationals import format_rational, parse_rational
-from conftest import parse_report, render_report, twopoint, unif_half, urn_law
+from conftest import child_env, parse_report, render_report, twopoint, unif_half, urn_law
 
 F = Fraction
 
@@ -366,6 +369,59 @@ class TestExitCodeContract:
             code, _, _ = dispatch(argv)
             assert code != 0, argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--measure", "{document}", "--max-n", "2"],
+            ["project", "--measure", "{measure}", "--statistic", "{document}"],
+            ["simulate", "--urn", "{document}", "--n", "4", "--trials", "1000", "--seed", "1"],
+        ],
+        ids=["measure", "statistic", "urn"],
+    )
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"\xff\xfe{}", "cannot read"),
+            (b"[" * 100000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["undecodable", "deeply-nested"],
+    )
+    def test_unreadable_documents_are_validation_errors(
+        self, files, tmp_path, argv, content, message
+    ):
+        path = tmp_path / "document.json"
+        path.write_bytes(content)
+        names = {"document": str(path), "measure": files["dirac12.json"]}
+        code, out, err = dispatch([token.format(**names) for token in argv])
+        assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize(
+        "parse", [parse_measure_spec, parse_statistic_spec, parse_urn_spec], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize(
+        "document,message",
+        [("[" * 100000, "nested too deeply"), ("9" * 5000, "Exceeds the limit")],
+        ids=["deeply-nested", "long-number"],
+    )
+    def test_undecodable_json_is_parse_error(self, parse, document, message):
+        with pytest.raises(ParseError, match=f"invalid JSON: {message}"):
+            parse(document)
+
+    @pytest.mark.parametrize(
+        "point", ['["1"]', "5", '["1", "1", "2"]'], ids=["one-entry", "scalar", "three-entries"]
+    )
+    def test_malformed_urn_table_point_is_validation_error(self, tmp_path, point):
+        path = tmp_path / "urn.json"
+        path.write_text(
+            '{"f": {"type": "table", "points": [["0", "0"], %s, ["1", "1"]]}, "r": 1, "b": 1}'
+            % point,
+            encoding="utf-8",
+        )
+        code, out, err = dispatch(
+            ["simulate", "--urn", str(path), "--n", "4", "--trials", "1000", "--seed", "1"]
+        )
+        assert (code, out) == (2, "") and "[x, y] pair" in err
+
     def test_trials_floor_is_validation_error(self, files):
         code, _, err = dispatch(
             [
@@ -583,6 +639,7 @@ class TestHelp:
             [sys.executable, "-m", "hoeffding", *argv],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert (result.returncode, result.stderr) == (0, "")
         assert dispatch(argv) == (0, result.stdout, "")
@@ -635,7 +692,7 @@ class TestGoldenOutput:
         expected = GOLDEN[" ".join(case + ["--format", fmt])]
         argv = [files.get(token, token) for token in case] + ["--format", fmt]
         result = subprocess.run(
-            [sys.executable, "-m", "hoeffding", *argv], capture_output=True
+            [sys.executable, "-m", "hoeffding", *argv], capture_output=True, env=child_env()
         )
         assert (result.returncode, result.stdout) == (
             expected["code"],
@@ -688,7 +745,10 @@ class TestStartUp:
     def test_request_loads_only_its_layers(self, files, argv, layers):
         argv = [files.get(token, token) for token in argv]
         result = subprocess.run(
-            [sys.executable, "-c", LIST_LOADED, *argv], capture_output=True, text=True
+            [sys.executable, "-c", LIST_LOADED, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         loaded = {"cli", "errors", "rationals", *layers}
@@ -696,7 +756,10 @@ class TestStartUp:
 
     def test_version(self):
         result = subprocess.run(
-            [sys.executable, "-m", "hoeffding", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "hoeffding", "--version"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
         assert (result.returncode, result.stdout, result.stderr) == (
             0,
@@ -744,8 +807,8 @@ class TestDeterminism:
             "--max-n",
             "3",
         ]
-        first = subprocess.run(argv, capture_output=True, text=True)
-        second = subprocess.run(argv, capture_output=True, text=True)
+        first = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+        second = subprocess.run(argv, capture_output=True, text=True, env=child_env())
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
         assert first.stdout.splitlines()[1] == "witness\tn=2 u=2 z=0 residual=-3/56"
@@ -764,6 +827,7 @@ class TestDeterminism:
             ],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "alpha\t1\nbeta\t1\n"

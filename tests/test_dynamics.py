@@ -363,9 +363,9 @@ class TestClassify:
         rows = []
         numerators = hoeffding.engine._residual_numerators
 
-        def counted(measure, n, u):
+        def counted(measure, n, u, reciprocal_row):
             rows.append((n, u))
-            return numerators(measure, n, u)
+            return numerators(measure, n, u, reciprocal_row)
 
         monkeypatch.setattr(hoeffding.engine, "_residual_numerators", counted)
         assert classify(beta23(), 6).kind is ClassificationKind.POLYA

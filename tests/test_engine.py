@@ -472,8 +472,8 @@ class TestCheckDecomposable:
                 sys.exit("not running under -O")
             residual_numerators = engine._residual_numerators
 
-            def off_by_one(measure, n, u):
-                numerators, common = residual_numerators(measure, n, u)
+            def off_by_one(measure, n, u, reciprocal_row):
+                numerators, common = residual_numerators(measure, n, u, reciprocal_row)
                 return [t + common if t else t for t in numerators], common
 
             engine._residual_numerators = off_by_one
@@ -501,7 +501,7 @@ class TestCheckDecomposable:
             from hoeffding import DeFinettiMeasure, InternalError, check_decomposable, engine
             if __debug__:
                 sys.exit("not running under -O")
-            engine._residual_numerators = lambda measure, n, u: ([0] * n, 1)
+            engine._residual_numerators = lambda measure, n, u, reciprocal_row: ([0] * n, 1)
             twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
             try:
                 check_decomposable(twopoint, 4)

@@ -129,21 +129,33 @@ class TestConfigProbability:
 
 
 class TestRowCaches:
-    """The residual routes read integer rows only: a ``Fraction`` row is
-    built for the alternating sum of a witness and for nothing else."""
+    """The residual routes read integer rows only: ``config_probability``
+    is called for the alternating sum of a witness and for nothing else."""
+
+    @pytest.fixture
+    def config_orders(self, monkeypatch):
+        orders = []
+        probability = DeFinettiMeasure.config_probability
+
+        def counted(measure, n, zeros):
+            orders.append(n)
+            return probability(measure, n, zeros)
+
+        monkeypatch.setattr(DeFinettiMeasure, "config_probability", counted)
+        return orders
 
     @pytest.mark.parametrize("factory", [beta11, beta32, beta23, dirac12, dirac13])
     @pytest.mark.parametrize("verb", [check_decomposable, classify])
-    def test_decomposable_laws_build_no_fraction_row(self, factory, verb):
+    def test_decomposable_laws_build_no_fraction_row(self, factory, verb, config_orders):
         measure = factory()
         verb(measure, 8)
-        assert measure._int_rows and not measure._rows
+        assert measure._orders and not config_orders
 
     @pytest.mark.parametrize("verb", [check_decomposable, classify])
-    def test_witness_builds_only_its_own_rows(self, verb):
+    def test_witness_builds_only_its_own_rows(self, verb, config_orders):
         measure = twopoint()
         n, u, _ = verb(measure, 3).witness
-        assert set(measure._rows) == {n, n + u - 1}
+        assert set(config_orders) == {n, n + u - 1}
 
     def test_total_probability_check_raises_under_optimize(self):
         # a row put over the moment's denominator alone, without the
@@ -153,7 +165,7 @@ class TestRowCaches:
             """
             import math, sys, types
             from fractions import Fraction as F
-            from hoeffding import DeFinettiMeasure, InternalError, measures
+            from hoeffding import DeFinettiMeasure, InternalError, MeasureKind, measures
             if __debug__:
                 sys.exit("not running under -O")
 
@@ -170,9 +182,10 @@ class TestRowCaches:
                 gcd=math.gcd, comb=math.comb, lcm=lambda common, denominator: denominator)
             expect_internal_error(lambda: DeFinettiMeasure.truncated_uniform(F(1, 2), 6))
             measures.math = real_math
-            beta = DeFinettiMeasure.beta(2, 3)
-            beta._moments[0] = F(2)
-            expect_internal_error(lambda: beta.is_nondeterministic(4))
+            # the raw constructor skips the factories' validation
+            doubled = DeFinettiMeasure(
+                kind=MeasureKind.MOMENTS, moment_values=(F(2), F(1, 2), F(1, 3)))
+            expect_internal_error(lambda: doubled.is_nondeterministic(2))
             """
         )
         result = run_optimized(script)

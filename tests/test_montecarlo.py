@@ -408,6 +408,9 @@ class TestUrnSpecParsing:
             '{"f": {"type": "table", "points": [["0","0"],["1","2"]]}, "r": 1, "b": 1}',
             '{"f": {"type": "table", "points": [["1/4","0"],["1","1"]]}, "r": 1, "b": 1}',
             '{"f": {"type": "wat"}, "r": 1, "b": 1}',
+            '{"f": {"type": "table", "points": [["0","0"],["1"],["1","1"]]}, "r": 1, "b": 1}',
+            '{"f": {"type": "table", "points": [["0","0"],5,["1","1"]]}, "r": 1, "b": 1}',
+            '{"f": {"type": "table", "points": [["0","0"],["1","1","2"]]}, "r": 1, "b": 1}',
         ],
     )
     def test_rejected_documents(self, document):

@@ -9,8 +9,8 @@ reject at the scan's first negative entry, on short random sequences and
 on long perturbed moment sequences, and the enumeration oracles must
 equal the rows and their conditional quotients. The integer and
 reciprocal rows, filled in random order up to order 63, must equal the
-oracle rows on their least common denominators, and the ``Fraction`` row
-derived from them must equal ``fraction_rows``, the recurrence by
+oracle rows on their least common denominators, and the configuration
+probabilities read from them must equal ``fraction_rows``, the recurrence by
 ``Fraction`` subtraction. The recurrence layers must
 equal the Gram-matrix oracle exactly, the inclusion-exclusion projection of
 a Dirac law must equal its layers, the subspace route must agree with the
@@ -68,7 +68,7 @@ from hoeffding import (
     symmetrize,
     urn_histogram,
 )
-from hoeffding.engine import _residual_numerators, _weak_residual_row
+from hoeffding.engine import _reciprocal_row, _residual_numerators, _weak_residual_row
 from hoeffding.linalg import orthogonal_polynomials
 from hoeffding.rationals import binom
 from conftest import (
@@ -371,7 +371,7 @@ def assert_weak_rows_equal_fraction_oracle(measure, n):
     kernel = fraction_canonical_kernel(measure, n)
     for u in range(2, n + 1):
         expected = fraction_symmetrize(fraction_cond_expectation_overlap(kernel, measure, u))
-        numerators, common = _residual_numerators(measure, n, u)
+        numerators, common = _residual_numerators(measure, n, u, reciprocal_row(measure, n))
         assert list(_weak_residual_row(measure, n, u, numerators, common).values) == expected
 
 
@@ -484,11 +484,16 @@ def test_overlap_and_symmetrize_equal_fraction_oracles(measure, statistic, data)
         assert list(symmetrize(grid).values) == fraction_symmetrize(expected)
 
 
+def reciprocal_row(measure, n):
+    """The engine's reciprocal row of order n, from the measure's integer row."""
+    return _reciprocal_row(*measure._int_row(n))
+
+
 def integer_row_residual(measure, n, u, z):
     """The residual at (n, u, z) as the scan reads it: one numerator of the
     integer row (n, u) over its common denominator."""
     measure.require_nondeterministic(n + u - 1)
-    numerators, common = _residual_numerators(measure, n, u)
+    numerators, common = _residual_numerators(measure, n, u, reciprocal_row(measure, n))
     return F(numerators[z], common)
 
 
@@ -651,7 +656,7 @@ def test_prefix_conditional_reports_zero_conditioning_before_truncation():
 @SETTINGS
 @given(measure=beta_laws(), orders=st.lists(st.integers(0, 63), min_size=1, max_size=6))
 def test_beta_moments_equal_product_formula(measure, orders):
-    # the orders come in random sequence, so the cache fills in random steps
+    # the orders come in random sequence, so the table fills in random steps
     a, b = measure.beta_alpha, measure.beta_beta
     for n in orders + [63]:
         expected = F(1)
@@ -666,7 +671,7 @@ def test_beta_moments_equal_product_formula(measure, orders):
     orders=st.lists(st.integers(0, 63), min_size=1, max_size=6),
 )
 def test_discrete_moments_equal_sum_formula(measure, orders):
-    # the orders come in random sequence, so the power cache fills in random steps
+    # the orders come in random sequence, so the table fills in random steps
     for n in orders + [63]:
         assert measure.moment(n) == sum((w * loc**n for loc, w in measure.atoms), F(0))
 
@@ -676,7 +681,7 @@ def test_discrete_moments_equal_sum_formula(measure, orders):
 def test_integer_rows_are_the_rows_on_least_denominators(measure, n):
     if measure.max_order is not None:
         n = min(n, measure.max_order)
-    row = measure._row(n)
+    row = [measure.config_probability(n, j) for j in range(n + 1)]
     ints, common = measure._int_row(n)
     assert [F(i, common) for i in ints] == list(row)
     # common is a multiple of every denominator, and no smaller one is:
@@ -685,14 +690,14 @@ def test_integer_rows_are_the_rows_on_least_denominators(measure, n):
     assert all(c * p.denominator == common for c, p in zip(cofactors, row))
     assert math.gcd(*cofactors) == 1
     if all(p > 0 for p in row):
-        reciprocals, reciprocal_common = measure._reciprocal_row(n)
+        reciprocals, reciprocal_common = reciprocal_row(measure, n)
         assert all(F(r, reciprocal_common) * p == 1 for r, p in zip(reciprocals, row))
         cofactors = [reciprocal_common // p.numerator for p in row]
         assert all(c * p.numerator == reciprocal_common for c, p in zip(cofactors, row))
         assert math.gcd(*cofactors) == 1
     else:
         with pytest.raises(DeterministicMeasureError):
-            measure._reciprocal_row(n)
+            reciprocal_row(measure, n)
 
 
 def integer_rows_oracle(row):
@@ -717,15 +722,16 @@ def integer_rows_oracle(row):
     orders=st.lists(st.integers(0, 63), min_size=1, max_size=3),
 )
 def test_integer_rows_equal_oracle_rows(measure, orders):
-    # the orders come in random sequence, so the integer-row cache extends
+    # the orders come in random sequence, so the table extends
     # from the highest cached order in random steps
     cap = measure.max_order
     for n in (orders if cap is None else [min(n, cap) for n in orders]):
         row = [config_probability_oracle(measure, n, j) for j in range(n + 1)]
-        int_row, reciprocal_row = integer_rows_oracle(row)
+        int_row, reciprocals = integer_rows_oracle(row)
         assert measure._int_row(n) == int_row
-        assert outcome(measure._reciprocal_row, n) == reciprocal_row
-        assert list(measure._row(n)) == row == list(fraction_rows(measure, n)[n])
+        assert outcome(reciprocal_row, measure, n) == reciprocals
+        probabilities = [measure.config_probability(n, j) for j in range(n + 1)]
+        assert probabilities == row == list(fraction_rows(measure, n)[n])
 
 
 @pytest.mark.parametrize(
@@ -738,12 +744,12 @@ def test_integer_rows_equal_oracle_rows(measure, orders):
     ids=["beta", "discrete", "endpoints"],
 )
 def test_concurrent_fills_match_single_threaded_oracle(factory):
-    # four threads extend fresh moment (per-atom powers for the discrete
-    # laws), row, integer-row, reciprocal-row and non-determinism caches in
-    # different orders; a lost or torn entry would
-    # surface as a wrong row or a wrong non-determinism bit. On the {0, 1}
-    # endpoint law only orders 0 and 1 are non-deterministic, so a cache
-    # that stored an unverified order would answer True above them.
+    # four threads extend one fresh table of orders (moment, integer row,
+    # positivity) in different orders and read the engine's reciprocal row
+    # from it; a lost or torn record would surface as a wrong row or a
+    # wrong non-determinism bit. On the {0, 1} endpoint law only orders 0
+    # and 1 are non-deterministic, so a record that stored the positivity
+    # of another row would answer True above them.
     max_order = 40
     schedules = [
         list(range(max_order + 1)),
@@ -768,10 +774,10 @@ def test_concurrent_fills_match_single_threaded_oracle(factory):
         for n in schedule:
             nondeterministic = measure.is_nondeterministic(n)
             int_row = measure._int_row(n)
-            reciprocal_row = outcome(measure._reciprocal_row, n)
+            reciprocals = outcome(reciprocal_row, measure, n)
             row = [measure.config_probability(n, j) for j in range(n + 1)]
             moment = measure.moment(n)
-            out.append((n, (moment, row, nondeterministic, int_row, reciprocal_row)))
+            out.append((n, (moment, row, nondeterministic, int_row, reciprocals)))
 
     previous_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -791,8 +797,11 @@ def test_concurrent_fills_match_single_threaded_oracle(factory):
         assert [n for n, _ in out] == schedule
         for n, observed in out:
             assert observed == expected[n]
-    verified = measure._positive_order[0]
-    assert verified == -1 or nondeterminism_scan(measure, verified)
+    # every stored record, its positivity bit included, is the oracle's
+    assert measure._orders == {
+        n: (moment, *int_row, nondeterministic)
+        for n, (moment, _, nondeterministic, int_row, _) in expected.items()
+    }
 
 
 @SETTINGS
