@@ -68,7 +68,7 @@ from .errors import (
     OrderExceededError,
     ParseError,
 )
-from .rationals import binom, format_rational, load_json, parse_rational
+from .rationals import binom, format_rational, load_json, parse_rational, rational_pairs
 
 # Largest moment order of a measure document: ``check --max-n 32`` reads
 # orders up to 2 * 32 - 1. Parsing costs roughly the cube of the order; on a
@@ -111,7 +111,7 @@ class DeFinettiMeasure:
     @classmethod
     def discrete(cls, atoms) -> "DeFinettiMeasure":
         """Finite mixture; atoms is a sequence of (location, weight) pairs."""
-        parsed = tuple((Fraction(loc), Fraction(w)) for loc, w in atoms)
+        parsed = rational_pairs(atoms, "atom (location, weight)")
         if not parsed:
             raise ParseError("a discrete measure needs at least one atom")
         for loc, w in parsed:

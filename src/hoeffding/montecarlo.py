@@ -44,7 +44,7 @@ from .errors import (
     UnsamplableKindError,
 )
 from .measures import DeFinettiMeasure, MeasureKind
-from .rationals import format_rational, load_json, parse_rational
+from .rationals import load_json, parse_rational, rational_pairs
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64 increment and finalizer multipliers
@@ -102,32 +102,34 @@ def trial_stream(seed: int, trial: int) -> SplitMix64:
 
 @dataclass(frozen=True)
 class ReinforcementFunction:
-    """A map from urn proportion to next-draw probability, exact on rationals.
+    """A map from urn proportion to next-draw probability: the
+    piecewise-linear interpolant of its knots, exact on rationals.
 
-    Built-ins: the identity map and constants (the two exchangeable cases);
-    arbitrary piecewise-linear tables cover everything else at desk scale.
-    Table knots must start at 0, end at 1, and have strictly increasing
-    abscissae with ordinates in [0, 1].
+    Every map is a table of knots ``(x, y)`` whose abscissae start at 0,
+    end at 1 and increase strictly, with ordinates in [0, 1]. The two
+    exchangeable urns (Hill, Lane and Sudderth 1987) are two-knot tables:
+    :meth:`identity`, the knots (0, 0) and (1, 1), is the Polya urn, and
+    :meth:`constant`, the knots (0, c) and (1, c), draws i.i.d.
+    Bernoulli(c) bits. On two knots the interpolation returns exactly the
+    proportion and exactly c.
     """
 
-    kind: str
-    value: Optional[Fraction] = None
-    points: Optional[tuple[tuple[Fraction, Fraction], ...]] = None
+    points: tuple[tuple[Fraction, Fraction], ...]
 
     @classmethod
     def identity(cls) -> "ReinforcementFunction":
-        return cls(kind="identity")
+        return cls.table([(0, 0), (1, 1)])
 
     @classmethod
     def constant(cls, value) -> "ReinforcementFunction":
         value = Fraction(value)
         if not 0 <= value <= 1:
             raise ParseError("constant reinforcement value must lie in [0, 1]")
-        return cls(kind="constant", value=value)
+        return cls.table([(0, value), (1, value)])
 
     @classmethod
     def table(cls, points) -> "ReinforcementFunction":
-        knots = tuple((Fraction(x), Fraction(y)) for x, y in points)
+        knots = rational_pairs(points, "table point")
         if len(knots) < 2:
             raise ParseError("a table needs at least two points")
         if knots[0][0] != 0 or knots[-1][0] != 1:
@@ -138,40 +140,23 @@ class ReinforcementFunction:
         for _, y in knots:
             if not 0 <= y <= 1:
                 raise ParseError("table ordinates must lie in [0, 1]")
-        return cls(kind="table", points=knots)
+        return cls(points=knots)
 
     def __call__(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        if self.kind == "identity":
-            result = x
-        elif self.kind == "constant":
-            result = self.value
-        else:
-            result = self._interpolate(x)
+        if not 0 <= x <= 1:
+            raise ReinforcementRangeError(f"proportion {x} outside [0, 1]")
+        knots = self.points
+        result = knots[-1][1]
+        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
+            if x <= x1:
+                result = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+                break
         if not 0 <= result <= 1:
             raise ReinforcementRangeError(
                 f"reinforcement function returned {result} outside [0, 1]"
             )
         return result
-
-    def _interpolate(self, x: Fraction) -> Fraction:
-        knots = self.points
-        if not 0 <= x <= 1:
-            raise ReinforcementRangeError(f"proportion {x} outside [0, 1]")
-        for (x0, y0), (x1, y1) in zip(knots, knots[1:]):
-            if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return knots[-1][1]
-
-    def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "constant":
-            return f"constant({format_rational(self.value)})"
-        inner = ",".join(
-            f"({format_rational(x)},{format_rational(y)})" for x, y in self.points
-        )
-        return f"table[{inner}]"
 
 
 @dataclass(frozen=True)
@@ -184,11 +169,9 @@ class UrnSpec:
     b: int
 
     def __post_init__(self):
-        if self.r < 1 or self.b < 1:
-            raise ParseError("initial urn counts must be positive integers")
-
-    def describe(self) -> str:
-        return f"urn(f={self.f.describe()},r={self.r},b={self.b})"
+        for name, count in (("r", self.r), ("b", self.b)):
+            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+                raise ParseError(f'"{name}" must be a positive integer')
 
 
 def parse_urn_spec(document: str) -> UrnSpec:
@@ -223,11 +206,7 @@ def parse_urn_spec(document: str) -> UrnSpec:
         f = ReinforcementFunction.table(points)
     else:
         raise ParseError(f"unknown reinforcement type: {ftype!r}")
-    r, b = payload["r"], payload["b"]
-    for name, val in (("r", r), ("b", b)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise ParseError(f'"{name}" must be a positive integer')
-    return UrnSpec(f=f, r=r, b=b)
+    return UrnSpec(f=f, r=payload["r"], b=payload["b"])
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +220,17 @@ def _limit(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _polya_limit_table(alpha, beta, n: int) -> list[list[int]]:
-    """table[m][s] = limit of P(next is 1 | s ones among m drawn), floated."""
+def _limit_table(f: ReinforcementFunction, r, b, n: int) -> list[list[int]]:
+    """table[m][s] = limit of f((r + s)/(r + b + m)), the probability that
+    draw m + 1 is a one after s ones among m, floated once.
+
+    The Polya rule (alpha + s)/(alpha + beta + m) is the identity map at
+    the urn proportion of composition (alpha, beta). The proportion is a
+    ``Fraction`` for rational counts, and for float counts the float
+    quotient, since ``Fraction / float`` divides in floats.
+    """
     return [
-        [_limit(float((alpha + s) / (alpha + beta + m))) for s in range(m + 1)]
+        [_limit(float(f(Fraction(r + s) / (r + b + m)))) for s in range(m + 1)]
         for m in range(n)
     ]
 
@@ -266,19 +252,8 @@ def sample_polya(alpha, beta, n: int, seed: int) -> list[int]:
         raise ParameterRangeError("alpha and beta must be positive")
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
-    return _draw_from_table(_polya_limit_table(alpha, beta, n), trial_stream(seed, 0))
-
-
-def _urn_limit_table(spec: UrnSpec, n: int) -> list[list[int]]:
-    """table[m][ones] = limit of f((r + ones)/(r + b + m)), validated and
-    floated."""
-    return [
-        [
-            _limit(float(spec.f(Fraction(spec.r + ones, spec.r + spec.b + m))))
-            for ones in range(m + 1)
-        ]
-        for m in range(n)
-    ]
+    table = _limit_table(ReinforcementFunction.identity(), alpha, beta, n)
+    return _draw_from_table(table, trial_stream(seed, 0))
 
 
 def sample_urn_process(spec: UrnSpec, n: int, seed: int) -> list[int]:
@@ -286,7 +261,8 @@ def sample_urn_process(spec: UrnSpec, n: int, seed: int) -> list[int]:
     current red proportion (r + #ones)/(r + b + m)."""
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
-    return _draw_from_table(_urn_limit_table(spec, n), trial_stream(seed, 0))
+    table = _limit_table(spec.f, spec.r, spec.b, n)
+    return _draw_from_table(table, trial_stream(seed, 0))
 
 
 def _normal(rng: SplitMix64) -> float:
@@ -346,19 +322,12 @@ def _atom_tables(measure: DeFinettiMeasure, n: int) -> tuple[list, list[int]]:
     return tables, picks
 
 
-def _mixture_draw(measure: DeFinettiMeasure, n: int, rng: SplitMix64) -> list[int]:
-    if measure.kind is MeasureKind.BETA:
-        theta = _beta_variate(float(measure.beta_alpha), float(measure.beta_beta), rng)
-        table = _constant_table(theta, n)
-    elif measure.kind is MeasureKind.DISCRETE:
-        tables, picks = _atom_tables(measure, n)
-        table = tables[bisect_right(picks, rng.next_word() >> 11)]
-    else:
+def _require_samplable(measure: DeFinettiMeasure) -> None:
+    if measure.kind is MeasureKind.MOMENTS:
         raise UnsamplableKindError(
             "truncated moment sequences cannot be sampled; only beta and "
             "discrete measures are samplable"
         )
-    return _draw_from_table(table, rng)
 
 
 def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
@@ -366,12 +335,15 @@ def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
     conditionally independent bits."""
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
-    if measure.kind is MeasureKind.MOMENTS:
-        raise UnsamplableKindError(
-            "truncated moment sequences cannot be sampled; only beta and "
-            "discrete measures are samplable"
-        )
-    return _mixture_draw(measure, n, trial_stream(seed, 0))
+    _require_samplable(measure)
+    rng = trial_stream(seed, 0)
+    if measure.kind is MeasureKind.BETA:
+        theta = _beta_variate(float(measure.beta_alpha), float(measure.beta_beta), rng)
+        table = _constant_table(theta, n)
+    else:
+        tables, picks = _atom_tables(measure, n)
+        table = tables[bisect_right(picks, rng.next_word() >> 11)]
+    return _draw_from_table(table, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +425,13 @@ def compare_exact_empirical(
         raise ParameterRangeError("n must be at least 1")
     if trials < 1000:
         raise ParameterRangeError("trials must be at least 1000")
+    _require_samplable(measure)
     if measure.kind is MeasureKind.BETA:
-        table = _polya_limit_table(measure.beta_alpha, measure.beta_beta, n)
+        identity = ReinforcementFunction.identity()
+        table = _limit_table(identity, measure.beta_alpha, measure.beta_beta, n)
         counts = _histogram([table], (), n, trials, seed)
-    elif measure.kind is MeasureKind.DISCRETE:
-        counts = _histogram(*_atom_tables(measure, n), n, trials, seed)
     else:
-        raise UnsamplableKindError(
-            "truncated moment sequences cannot be sampled; only beta and "
-            "discrete measures are samplable"
-        )
+        counts = _histogram(*_atom_tables(measure, n), n, trials, seed)
     rows = []
     for j in range(n + 1):
         expected = math.comb(n, j) * measure.config_probability(n, j)
@@ -487,7 +456,7 @@ def urn_histogram(spec: UrnSpec, n: int, trials: int, seed: int) -> SampleReport
         raise ParameterRangeError("n must be at least 1")
     if trials < 1000:
         raise ParameterRangeError("trials must be at least 1000")
-    counts = _histogram([_urn_limit_table(spec, n)], (), n, trials, seed)
+    counts = _histogram([_limit_table(spec.f, spec.r, spec.b, n)], (), n, trials, seed)
     return SampleReport(
         n=n, trials=trials, seed=seed, zero_count_histogram=tuple(counts)
     )

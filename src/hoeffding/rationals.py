@@ -1,5 +1,6 @@
-"""Rational parsing/formatting, binomial coefficients and the JSON loader
-shared by the document parsers.
+"""Rational parsing/formatting, binomial coefficients, the JSON loader
+shared by the document parsers, and the pair conversion shared by the
+library factories.
 
 The whole deterministic side of the library works in exact rationals
 (:class:`fractions.Fraction`); floats appear only in the Monte Carlo module.
@@ -29,6 +30,21 @@ def parse_rational(text: str) -> Fraction:
     num = _integer(m.group(1))
     den = _integer(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def rational_pairs(items, what: str) -> tuple[tuple[Fraction, Fraction], ...]:
+    """``items`` as a tuple of exact pairs, for the library factories: an
+    item that is not a pair of rationals raises ``ParseError`` naming
+    ``what``, not the ``ValueError`` or ``TypeError`` of unpacking it."""
+    pairs = []
+    for item in items:
+        try:
+            x, y = item
+            pairs.append((Fraction(x), Fraction(y)))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            message = f"each {what} must be a pair of rationals, got {item!r}"
+            raise ParseError(message) from None
+    return tuple(pairs)
 
 
 def load_json(document: str):

@@ -25,12 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    ArityMismatchError,
-    DeterministicMeasureError,
-    IndexRangeError,
-    ParseError,
-)
+from .errors import ArityMismatchError, IndexRangeError, ParseError
 from .measures import DeFinettiMeasure
 from .rationals import load_json, parse_rational
 
@@ -205,15 +200,14 @@ def cond_expectation_prefix(
     n = statistic.n
     if not 0 <= a <= n:
         raise IndexRangeError(f"need 0 <= a <= n, got a={a} n={n}")
+    # every value divides by an entry of row a: check them before order n
+    measure.require_nondeterministic(a)
     given, given_common = measure._int_row(a)
-    # the first value divides by P_a(0) before it reads order n
-    _require_positive(given, a, 0)
     ints, common = measure._int_row(n)
     scale, t = _common_numerators(statistic.values)
     weights = [math.comb(n - a, m) for m in range(n - a + 1)]
     values = []
     for j in range(a + 1):
-        _require_positive(given, a, j)
         total = sum(c * t[j + m] * ints[j + m] for m, c in enumerate(weights))
         values.append(Fraction(total * given_common, scale * common * given[j]))
     return SymmetricFunction(tuple(values))
@@ -240,9 +234,9 @@ def cond_expectation_overlap(
     if not 2 <= u <= n:
         raise IndexRangeError(f"need 2 <= u <= n, got u={u} n={n}")
     v, w = n - u, u - 1
+    # every cell divides by an entry of row n-1: check them before order n-1+u
+    measure.require_nondeterministic(n - 1)
     given, given_common = measure._int_row(n - 1)
-    # the first cell divides by P_{n-1}(0) before it reads order n-1+u
-    _require_positive(given, n - 1, 0)
     ints, common = measure._int_row(n - 1 + u)
     scale, t = _common_numerators(statistic.values)
     weights = [math.comb(u, m) for m in range(u + 1)]
@@ -251,7 +245,6 @@ def cond_expectation_overlap(
         row = []
         for l in range(w + 1):
             z = k + l
-            _require_positive(given, n - 1, z)
             total = sum(c * t[k + m] * ints[z + m] for m, c in enumerate(weights))
             row.append(Fraction(total * given_common, scale * common * given[z]))
         rows.append(tuple(row))
@@ -263,13 +256,6 @@ def _common_numerators(values) -> tuple[int, tuple[int, ...]]:
     denominators."""
     common = math.lcm(*(x.denominator for x in values))
     return common, tuple(x.numerator * (common // x.denominator) for x in values)
-
-
-def _require_positive(ints, n: int, zeros: int) -> None:
-    if ints[zeros] == 0:
-        raise DeterministicMeasureError(
-            f"conditioning event has probability zero (n={n}, zeros={zeros})"
-        )
 
 
 def symmetrize(f: BiSymmetricFunction) -> SymmetricFunction:

@@ -5,7 +5,8 @@ kernel by forward substitution, brute-force
 enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
-conditional expectation), the per-bit sampling oracle, and the
+conditional expectation), the per-bit sampling oracle, the Polya limit
+table (the predictive rule in its own formula), and the
 scaffolding only tests use: ``render_report`` and ``parse_report`` (the
 JSON report round trip), the finite urn law, the two-term degeneracy
 residual, the affine-predictive helpers, the moment-region sampler,
@@ -29,7 +30,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -225,16 +226,18 @@ def fraction_cond_expectation_overlap(statistic, measure, u):
     """E[T(X_1..X_n) | X_{u+1}..X_{u+n-1}] on the (n-u+1) x u zero-count grid."""
     n = statistic.n
     v, w = n - u, u - 1
+    # every conditioning event is checked before order n-1+u is read
+    denominators = [measure.config_probability(n - 1, z) for z in range(n)]
+    if 0 in denominators:
+        raise DeterministicMeasureError(
+            f"conditioning event has probability zero (n={n - 1}, "
+            f"zeros={denominators.index(0)})"
+        )
     grid = []
     for k in range(v + 1):
         row = []
         for l in range(w + 1):
             z = k + l
-            denominator = measure.config_probability(n - 1, z)
-            if denominator == 0:
-                raise DeterministicMeasureError(
-                    f"conditioning event has probability zero (n={n - 1}, zeros={z})"
-                )
             row.append(
                 sum(
                     (
@@ -243,7 +246,7 @@ def fraction_cond_expectation_overlap(statistic, measure, u):
                     ),
                     F(0),
                 )
-                / denominator
+                / denominators[z]
             )
         grid.append(row)
     return grid
@@ -780,13 +783,14 @@ def fraction_cond_expectation_prefix(statistic, measure, a):
     n = statistic.n
     if not 0 <= a <= n:
         raise IndexRangeError(f"need 0 <= a <= n, got a={a} n={n}")
+    # every conditioning event is checked before order n is read
+    denominators = [measure.config_probability(a, j) for j in range(a + 1)]
+    if 0 in denominators:
+        raise DeterministicMeasureError(
+            f"conditioning event has probability zero (n={a}, zeros={denominators.index(0)})"
+        )
     values = []
-    for j in range(a + 1):
-        denominator = measure.config_probability(a, j)
-        if denominator == 0:
-            raise DeterministicMeasureError(
-                f"conditioning event has probability zero (n={a}, zeros={j})"
-            )
+    for j, denominator in enumerate(denominators):
         values.append(
             sum(
                 (
@@ -813,6 +817,16 @@ def published_polya_coefficients(alpha, beta):
 # ---------------------------------------------------------------------------
 # sampling oracle: the per-bit float-comparison histogram
 # ---------------------------------------------------------------------------
+
+
+def polya_limit_table(alpha, beta, n):
+    """table[m][s] = ceil(p * 2**53) for p the float of the Polya predictive
+    rule (alpha + s)/(alpha + beta + m), written out with no reinforcement
+    map: the oracle of the identity urn's limit table."""
+    return [
+        [ceil(float((alpha + s) / (alpha + beta + m)) * 2.0**53) for s in range(m + 1)]
+        for m in range(n)
+    ]
 
 
 def reference_histogram(source, n, trials, seed):

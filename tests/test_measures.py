@@ -363,3 +363,12 @@ class TestParsing:
 
     def test_describe_is_stable(self, any_measure):
         assert any_measure.describe() == any_measure.describe()
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [[(0, F(1, 2)), (1,)], [5], [("a", 1)], [(F(1, 2), "1/0")]],
+        ids=["short-pair", "not-a-pair", "not-rational", "zero-denominator"],
+    )
+    def test_discrete_factory_rejects_malformed_atoms(self, atoms):
+        with pytest.raises(ParseError):
+            DeFinettiMeasure.discrete(atoms)

@@ -6,6 +6,7 @@ Statistical assertions use |z| < 4 per cell (two-sided false alarm about
 draws are seeded, so failures are reproducible, not flaky.
 """
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -421,6 +422,61 @@ class TestUrnSpecParsing:
         f = ReinforcementFunction.identity()
         with pytest.raises(ReinforcementRangeError):
             f(F(3, 2))
+
+    @pytest.mark.parametrize("count", ['1.5', 'true', '"1"', '[1]'])
+    def test_rejected_counts(self, count):
+        with pytest.raises(ParseError, match='"b" must be a positive integer'):
+            parse_urn_spec('{"f": {"type": "identity"}, "r": 1, "b": %s}' % count)
+
+
+class TestReinforcementForm:
+    # every reinforcement map is one knot table; identity and constant are
+    # the two-knot tables of the exchangeable urns
+    def test_points_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(ReinforcementFunction)] == ["points"]
+
+    def test_builtins_are_two_knot_tables(self):
+        assert ReinforcementFunction.identity() == ReinforcementFunction.table([(0, 0), (1, 1)])
+        assert ReinforcementFunction.constant(F(1, 3)) == ReinforcementFunction.table(
+            [(0, F(1, 3)), (1, F(1, 3))]
+        )
+
+    @pytest.mark.parametrize("x", [F(-1, 5), F(3, 2)])
+    def test_constant_rejects_proportions_outside_the_unit_interval(self, x):
+        with pytest.raises(ReinforcementRangeError, match="outside"):
+            ReinforcementFunction.constant(F(1, 2))(x)
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(0, 0), (1,)], [(0, 0), 5], [(0, 0), ("a", 1)], [(0, 0), (1, "1/0")]],
+        ids=["short-pair", "not-a-pair", "not-rational", "zero-denominator"],
+    )
+    def test_table_factory_rejects_malformed_points(self, points):
+        with pytest.raises(ParseError, match="table point"):
+            ReinforcementFunction.table(points)
+
+    @pytest.mark.parametrize("count", [F(3, 2), True, 1.5, "1", 0])
+    @pytest.mark.parametrize("name", ["r", "b"])
+    def test_urn_counts_must_be_positive_integers(self, name, count):
+        counts = {"r": 1, "b": 1, name: count}
+        with pytest.raises(ParseError, match=f'"{name}" must be a positive integer'):
+            UrnSpec(f=ReinforcementFunction.identity(), **counts)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: sample_mixture(unif_half(), 4, seed=1),
+            lambda: compare_exact_empirical(unif_half(), 4, 1000, seed=1),
+        ],
+        ids=["sample_mixture", "compare_exact_empirical"],
+    )
+    def test_refusal_comes_before_any_stream(self, run, monkeypatch):
+        def no_stream(seed, trial):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(montecarlo, "trial_stream", no_stream)
+        with pytest.raises(UnsamplableKindError, match="cannot be sampled"):
+            run()
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ random laws, perturbed point masses and finite urns, and on Beta moment
 sequences perturbed past the compared moment orders. Discrete moments
 must equal the sum over atoms at every order up to 63. The fused Monte Carlo
 histograms of random Beta, discrete and urn specifications must equal the
-per-bit sampling oracle count for count. Examples are capped and derandomized so the suite
+per-bit sampling oracle count for count, the identity urn's limit table
+must equal the Polya rule's oracle table for rational, integer and float
+parameters, and the two-knot tables must return exactly the proportion
+and the constant. Examples are capped and derandomized so the suite
 costs a few seconds and repeats exactly.
 """
 
@@ -70,6 +73,7 @@ from hoeffding import (
 )
 from hoeffding.engine import _reciprocal_row, _residual_numerators, _weak_residual_row
 from hoeffding.linalg import orthogonal_polynomials
+from hoeffding.montecarlo import _limit_table
 from hoeffding.rationals import binom
 from conftest import (
     alternating_sum_config_probability,
@@ -93,6 +97,7 @@ from conftest import (
     fraction_symmetrize,
     gram_decomposition,
     nondeterminism_scan,
+    polya_limit_table,
     reference_histogram,
     scan_classify,
     urn_law,
@@ -549,6 +554,23 @@ def test_two_atom_endpoint_law_raises_like_the_oracles():
             fraction_cond_expectation_overlap(statistic, measure, 2)
 
 
+def test_deterministic_row_is_reported_before_truncation():
+    # the law with atoms 0 and 1 truncated at order 3: P_2(0) > 0 but
+    # P_2(1) = 0, so conditioning on order 2 fails before orders 4 and 5
+    # are read
+    measure = DeFinettiMeasure.from_moments([1] + [F(2, 3)] * 3)
+    overlap = SymmetricFunction((F(1), F(-2), F(3), F(-4)))
+    prefix = SymmetricFunction(tuple(F(z) for z in range(6)))
+    for function, statistic, index in [
+        (cond_expectation_overlap, overlap, 2),
+        (fraction_cond_expectation_overlap, overlap, 2),
+        (cond_expectation_prefix, prefix, 2),
+        (fraction_cond_expectation_prefix, prefix, 2),
+    ]:
+        with pytest.raises(DeterministicMeasureError):
+            function(statistic, measure, index)
+
+
 def test_moment_cap_raises_like_the_oracles():
     measure = DeFinettiMeasure.truncated_uniform(F(1, 2), 4)
     with pytest.raises(OrderExceededError):
@@ -816,3 +838,28 @@ def test_fused_histogram_equals_per_bit_oracle(source, n, seed):
     else:
         report = compare_exact_empirical(source, n, 1000, seed)
     assert list(report.zero_count_histogram) == reference_histogram(source, n, 1000, seed)
+
+
+# positive Polya parameters: small rationals, integers and floats
+polya_parameters = st.one_of(
+    st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+    st.integers(1, 60),
+    st.floats(min_value=0.0, max_value=1e6, exclude_min=True, allow_nan=False),
+)
+
+
+@SETTINGS
+@given(alpha=polya_parameters, beta=polya_parameters, n=st.integers(0, 12))
+def test_identity_limit_table_is_the_polya_rule(alpha, beta, n):
+    identity = ReinforcementFunction.identity()
+    assert _limit_table(identity, alpha, beta, n) == polya_limit_table(alpha, beta, n)
+
+
+@SETTINGS
+@given(
+    x=st.builds(F, st.integers(0, 10**6), st.just(10**6)) | unit_rationals(),
+    c=st.builds(F, st.integers(0, 10**6), st.just(10**6)) | unit_rationals(),
+)
+def test_two_knot_tables_return_the_proportion_and_the_constant(x, c):
+    assert ReinforcementFunction.identity()(x) == x
+    assert ReinforcementFunction.constant(c)(x) == c
