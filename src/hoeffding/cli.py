@@ -36,8 +36,8 @@ if TYPE_CHECKING:
 # all` takes about 2 s on a 2-vCPU machine, and the cost grows faster than
 # n**3.
 MAX_ORDER = 32
-# Largest accepted simulate --trials; a million Beta draws of 32 bits also
-# take about half a minute.
+# Largest accepted simulate --trials; a million Beta draws of 32 bits take
+# about 9 s end to end on a 2-vCPU machine.
 MAX_TRIALS = 1_000_000
 _BOUNDS = {"max_n": MAX_ORDER, "n": MAX_ORDER, "trials": MAX_TRIALS}
 _ORDER_HELP = f"at most {MAX_ORDER}"

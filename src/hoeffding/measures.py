@@ -68,7 +68,14 @@ from .errors import (
     OrderExceededError,
     ParseError,
 )
-from .rationals import binom, format_rational, load_json, parse_rational, rational_pairs
+from .rationals import (
+    as_rational,
+    binom,
+    format_rational,
+    load_json,
+    parse_rational,
+    rational_pairs,
+)
 
 # Largest moment order of a measure document: ``check --max-n 32`` reads
 # orders up to 2 * 32 - 1. Parsing costs roughly the cube of the order; on a
@@ -103,7 +110,7 @@ class DeFinettiMeasure:
 
     @classmethod
     def beta(cls, alpha, beta) -> "DeFinettiMeasure":
-        alpha, beta = Fraction(alpha), Fraction(beta)
+        alpha, beta = as_rational(alpha, "alpha"), as_rational(beta, "beta")
         if alpha <= 0 or beta <= 0:
             raise ParseError("beta parameters must be positive")
         return cls(kind=MeasureKind.BETA, beta_alpha=alpha, beta_beta=beta)
@@ -126,13 +133,13 @@ class DeFinettiMeasure:
     @classmethod
     def dirac(cls, location) -> "DeFinettiMeasure":
         """Point mass at ``location``: the i.i.d. Bernoulli(location) sequence."""
-        return cls.discrete([(Fraction(location), Fraction(1))])
+        return cls.discrete([(as_rational(location, "location"), Fraction(1))])
 
     @classmethod
     def from_moments(cls, values) -> "DeFinettiMeasure":
         """Truncated moment sequence mu_0..mu_M, checked for non-negative
         configuration rows up to order M."""
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(as_rational(v, "each moment") for v in values)
         if not vals:
             raise ParseError("a moment sequence needs at least mu_0")
         if vals[0] != 1:
@@ -152,7 +159,7 @@ class DeFinettiMeasure:
         The canonical example of a mixture that is neither i.i.d. nor Polya;
         represented as a MOMENTS measure truncated at the given order.
         """
-        epsilon = Fraction(epsilon)
+        epsilon = as_rational(epsilon, "epsilon")
         if not 0 < epsilon <= 1:
             raise ParseError("epsilon must lie in (0, 1]")
         if order < 0:

@@ -25,6 +25,23 @@ holds exactly when ``k < p * 2**53``, that is when ``k < ceil(p * 2**53)``.
 The two comparisons therefore draw the same bits. For a discrete mixing
 law the first word of a trial picks the atom by the same rule, against the
 running float sum of the weights in atom order.
+
+Lane packing
+------------
+The histograms run up to ``_LANES`` trials at once in one Python integer:
+trial j of a chunk owns the 128-bit lane at bits 128j to 128j + 127, and
+its SplitMix64 state sits in the low 64 bits of the lane. Each generator
+step acts on the whole integer: it adds the increment, repeated in every
+lane, xor-shifts, and multiplies by each finalizer constant. No lane
+carries into or borrows from its neighbour: a 64-bit state plus the 64-bit
+increment, and a 64-bit value times a 64-bit constant, both fit in 128
+bits, and after every add, xor-shift and multiply each lane is masked back
+to its low 64 bits, which also drops the bits a right shift brings down
+from the lane above. So every lane holds exactly the words of its trial's
+own stream. The test ``w < L`` puts a guard bit at bit 64 of each lane:
+``(L + 2**64 - 1) - w`` lies in [0, 2**65) in every lane, so it borrows
+nothing, and its bit 64 is set exactly when ``w <= L - 1``. The kernel
+therefore draws the same bits as a loop over the trials one at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +61,10 @@ from .errors import (
     UnsamplableKindError,
 )
 from .measures import DeFinettiMeasure, MeasureKind
-from .rationals import load_json, parse_rational, rational_pairs
+from .rationals import as_rational, load_json, parse_rational, rational_pairs
 
 _MASK64 = (1 << 64) - 1
+_MASK53 = (1 << 53) - 1
 # SplitMix64 increment and finalizer multipliers
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -122,7 +140,7 @@ class ReinforcementFunction:
 
     @classmethod
     def constant(cls, value) -> "ReinforcementFunction":
-        value = Fraction(value)
+        value = as_rational(value, "constant reinforcement value")
         if not 0 <= value <= 1:
             raise ParseError("constant reinforcement value must lie in [0, 1]")
         return cls.table([(0, value), (1, value)])
@@ -248,8 +266,9 @@ def _draw_from_table(table: Sequence[Sequence[int]], rng: SplitMix64) -> list[in
 def sample_polya(alpha, beta, n: int, seed: int) -> list[int]:
     """One Polya draw of length n via the reinforcement predictive rule
     P(next is 1 | s ones among m) = (alpha + s)/(alpha + beta + m)."""
-    if not (alpha > 0 and beta > 0):
-        raise ParameterRangeError("alpha and beta must be positive")
+    # comparisons with inf are exact for ints and Fractions, and refuse NaN
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ParameterRangeError("alpha and beta must be finite and positive")
     if n < 1:
         raise ParameterRangeError("n must be at least 1")
     table = _limit_table(ReinforcementFunction.identity(), alpha, beta, n)
@@ -379,6 +398,20 @@ class SampleReport:
             raise InternalError(f"histogram holds {drawn} draws, not {self.trials}")
 
 
+# trials per chunk of the histogram kernel; one 128-bit lane per trial
+_LANES = 1024
+_LANE_ONE = (1).to_bytes(16, "little")
+
+
+def _steps(row: Sequence[int], m: int) -> dict[int, list[int]]:
+    """The counts s in 1..m grouped by their nonzero step row[s] - row[s - 1]."""
+    groups: dict[int, list[int]] = {}
+    for s in range(1, m + 1):
+        if row[s] != row[s - 1]:
+            groups.setdefault(row[s] - row[s - 1], []).append(s)
+    return groups
+
+
 def _histogram(
     tables: Sequence[Sequence[Sequence[int]]],
     picks: Sequence[int],
@@ -392,22 +425,72 @@ def _histogram(
     ones. With no ``picks`` every trial reads ``tables[0]``. Otherwise the
     trial's first word, shifted to 53 bits, selects ``tables[i]`` for the
     first i whose pick limit exceeds it, or ``tables[len(picks)]`` when none
-    does. The SplitMix64 state then advances in a local integer, one word
-    per bit, and only the ones are counted.
+    does. Only the ones are counted.
+
+    The trials run ``_LANES`` at a time, one lane per trial of the chunk
+    (see the module docstring). A lane integer holds one value per lane; a
+    lane mask holds 1 in the lanes it marks and 0 elsewhere.
     """
+    # A lane with k ones reads row[0] plus every step row[s] - row[s - 1]
+    # with s <= k, that is row[k]. The lanes of each distinct step are summed
+    # first, so a row costs one multiply per distinct step and a constant row
+    # none past its first limit. A step may be negative, but each lane's
+    # total lies in [0, 2**64), so the sum holds it exactly.
+    firsts = [tuple(table[m][0] for table in tables) for m in range(n)]
+    steps = [[_steps(table[m], m) for table in tables] for m in range(n)]
     counts = [0] * (n + 1)
-    for trial in range(trials):
-        rng = trial_stream(seed, trial)
-        table = tables[bisect_right(picks, rng.next_word() >> 11)] if picks else tables[0]
-        state = rng.state
-        ones = 0
-        for row in table:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            if (z ^ (z >> 31)) >> 11 < row[ones]:
-                ones += 1
-        counts[n - ones] += 1
+    for start in range(0, trials, _LANES):
+        size = min(_LANES, trials - start)
+        one = int.from_bytes(_LANE_ONE * size, "little")
+        low64, low53, gamma = _MASK64 * one, _MASK53 * one, _GAMMA * one
+        state = int.from_bytes(
+            b"".join(
+                trial_stream(seed, trial).state.to_bytes(16, "little")
+                for trial in range(start, start + size)
+            ),
+            "little",
+        )
+
+        def next_words():
+            nonlocal state
+            state = z = (state + gamma) & low64
+            z = (((z ^ (z >> 30)) & low64) * _MIX1) & low64
+            z = (((z ^ (z >> 27)) & low64) * _MIX2) & low64
+            return ((z ^ (z >> 31)) >> 11) & low53
+
+        def below(limits, word):
+            # guard bit 64 survives in a lane exactly when word <= limit - 1
+            return ((limits + low64 - word) >> 64) & one
+
+        if picks:
+            word = next_words()
+            rest = one
+            picked = []
+            for pick in picks:
+                taken = below(pick * one, word) & rest
+                picked.append(taken)
+                rest ^= taken
+            picked.append(rest)
+        else:
+            picked = [one]
+        # at_least[s]: the lanes that have drawn at least s ones so far
+        at_least = [one]
+        held = None
+        for m in range(n):
+            if firsts[m] != held:
+                held = firsts[m]
+                base = sum(first * lanes for first, lanes in zip(held, picked))
+            limits = base
+            for groups, lanes in zip(steps[m], picked):
+                for step, group in groups.items():
+                    limits += step * sum(at_least[s] & lanes for s in group)
+            hits = below(limits, next_words())
+            at_least.append(at_least[m] & hits)
+            for s in range(m, 0, -1):
+                at_least[s] |= at_least[s - 1] & hits
+        at_least.append(0)
+        for s in range(n + 1):
+            counts[n - s] += at_least[s].bit_count() - at_least[s + 1].bit_count()
     return counts
 
 

@@ -1,6 +1,6 @@
 """Rational parsing/formatting, binomial coefficients, the JSON loader
-shared by the document parsers, and the pair conversion shared by the
-library factories.
+shared by the document parsers, and the value and pair conversions shared
+by the library factories.
 
 The whole deterministic side of the library works in exact rationals
 (:class:`fractions.Fraction`); floats appear only in the Monte Carlo module.
@@ -32,6 +32,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def as_rational(value, what: str) -> Fraction:
+    """``value`` as an exact ``Fraction``, for the library factories: a value
+    that is no rational (text that does not parse, a zero denominator, an
+    infinite or NaN float, a non-number) raises ``ParseError`` naming
+    ``what``, not the ``ValueError``, ``ZeroDivisionError``,
+    ``OverflowError`` or ``TypeError`` of converting it."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParseError(f"{what} must be a rational, got {value!r}") from None
+
+
 def rational_pairs(items, what: str) -> tuple[tuple[Fraction, Fraction], ...]:
     """``items`` as a tuple of exact pairs, for the library factories: an
     item that is not a pair of rationals raises ``ParseError`` naming
@@ -40,8 +52,8 @@ def rational_pairs(items, what: str) -> tuple[tuple[Fraction, Fraction], ...]:
     for item in items:
         try:
             x, y = item
-            pairs.append((Fraction(x), Fraction(y)))
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pairs.append((as_rational(x, what), as_rational(y, what)))
+        except (TypeError, ValueError):  # ParseError is a ValueError
             message = f"each {what} must be a pair of rationals, got {item!r}"
             raise ParseError(message) from None
     return tuple(pairs)

@@ -5,7 +5,8 @@ kernel by forward substitution, brute-force
 enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
-conditional expectation), the per-bit sampling oracle, the Polya limit
+conditional expectation), the per-bit sampling oracle, the scalar
+histogram loop (the lane-packed kernel's oracle), the Polya limit
 table (the predictive rule in its own formula), and the
 scaffolding only tests use: ``render_report`` and ``parse_report`` (the
 JSON report round trip), the finite urn law, the two-term degeneracy
@@ -28,6 +29,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, comb
@@ -60,7 +62,7 @@ from hoeffding.cli import (
     _render_decomposition,
     _render_sample,
 )
-from hoeffding.montecarlo import ComparisonRow, trial_stream
+from hoeffding.montecarlo import _GAMMA, _MASK64, _MIX1, _MIX2, ComparisonRow, trial_stream
 from hoeffding.rationals import parse_rational
 
 F = Fraction
@@ -870,6 +872,31 @@ def reference_histogram(source, n, trials, seed):
         else:
             for m in range(n):
                 ones += rng.random() < table[m][ones]
+        counts[n - ones] += 1
+    return counts
+
+
+def scalar_histogram(tables, picks, n, trials, seed):
+    """``montecarlo._histogram`` one trial at a time: the lane-packed
+    kernel's oracle.
+
+    Each trial's first word, when there are ``picks``, selects
+    ``tables[bisect_right(picks, word >> 11)]``; its SplitMix64 state then
+    advances in a local integer, one word per bit, and a bit is 1 when the
+    word shifted to 53 bits is below ``row[ones]``.
+    """
+    counts = [0] * (n + 1)
+    for trial in range(trials):
+        rng = trial_stream(seed, trial)
+        table = tables[bisect_right(picks, rng.next_word() >> 11)] if picks else tables[0]
+        state = rng.state
+        ones = 0
+        for row in table:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            if (z ^ (z >> 31)) >> 11 < row[ones]:
+                ones += 1
         counts[n - ones] += 1
     return counts
 

@@ -372,3 +372,20 @@ class TestParsing:
     def test_discrete_factory_rejects_malformed_atoms(self, atoms):
         with pytest.raises(ParseError):
             DeFinettiMeasure.discrete(atoms)
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: DeFinettiMeasure.beta("x", 1), "alpha"),
+            (lambda: DeFinettiMeasure.beta(1, float("inf")), "beta"),
+            (lambda: DeFinettiMeasure.truncated_uniform("a", 3), "epsilon"),
+            (lambda: DeFinettiMeasure.from_moments(["1/0"]), "moment"),
+            (lambda: DeFinettiMeasure.from_moments([1, None]), "moment"),
+            (lambda: DeFinettiMeasure.dirac("1/0"), "location"),
+        ],
+        ids=["beta-text", "beta-inf", "truncated-uniform", "moments-zero-denominator",
+             "moments-none", "dirac"],
+    )
+    def test_scalar_factories_reject_non_rationals(self, build, what):
+        with pytest.raises(ParseError, match=what):
+            build()

@@ -229,6 +229,14 @@ class TestSamplePolya:
         with pytest.raises(ParameterRangeError):
             sample_polya(1, 1, 0, seed=1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_parameters_must_be_finite(self, position, value):
+        parameters = [1, 1]
+        parameters[position] = value
+        with pytest.raises(ParameterRangeError, match="finite and positive"):
+            sample_polya(*parameters, 3, seed=1)
+
     def test_uniform_zero_counts(self, polya11_report):
         # every zero count is equally likely under the uniform mixing law
         assert all(
@@ -445,6 +453,11 @@ class TestReinforcementForm:
     def test_constant_rejects_proportions_outside_the_unit_interval(self, x):
         with pytest.raises(ReinforcementRangeError, match="outside"):
             ReinforcementFunction.constant(F(1, 2))(x)
+
+    @pytest.mark.parametrize("value", ["a", "1/0", math.inf, None])
+    def test_constant_factory_rejects_non_rationals(self, value):
+        with pytest.raises(ParseError, match="constant reinforcement value"):
+            ReinforcementFunction.constant(value)
 
     @pytest.mark.parametrize(
         "points",

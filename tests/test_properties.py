@@ -30,11 +30,13 @@ random laws, perturbed point masses and finite urns, and on Beta moment
 sequences perturbed past the compared moment orders. Discrete moments
 must equal the sum over atoms at every order up to 63. The fused Monte Carlo
 histograms of random Beta, discrete and urn specifications must equal the
-per-bit sampling oracle count for count, the identity urn's limit table
-must equal the Polya rule's oracle table for rational, integer and float
-parameters, and the two-knot tables must return exactly the proportion
-and the constant. Examples are capped and derandomized so the suite
-costs a few seconds and repeats exactly.
+per-bit sampling oracle count for count, the lane-packed histogram kernel
+must equal the scalar loop on random knot tables, raw limit rows and atom
+picks across chunk boundaries, with limits that equal drawn words, the
+identity urn's limit table must equal the Polya rule's oracle table for
+rational, integer and float parameters, and the two-knot tables must
+return exactly the proportion and the constant. Examples are capped and
+derandomized so the suite costs a few seconds and repeats exactly.
 """
 
 import math
@@ -73,7 +75,7 @@ from hoeffding import (
 )
 from hoeffding.engine import _reciprocal_row, _residual_numerators, _weak_residual_row
 from hoeffding.linalg import orthogonal_polynomials
-from hoeffding.montecarlo import _limit_table
+from hoeffding.montecarlo import _LANES, _histogram, _limit_table, trial_stream
 from hoeffding.rationals import binom
 from conftest import (
     alternating_sum_config_probability,
@@ -99,6 +101,7 @@ from conftest import (
     nondeterminism_scan,
     polya_limit_table,
     reference_histogram,
+    scalar_histogram,
     scan_classify,
     urn_law,
 )
@@ -838,6 +841,41 @@ def test_fused_histogram_equals_per_bit_oracle(source, n, seed):
     else:
         report = compare_exact_empirical(source, n, 1000, seed)
     assert list(report.zero_count_histogram) == reference_histogram(source, n, 1000, seed)
+
+
+# limits of one bit: never, always, and any uniform in between
+limits = st.sampled_from([0, 2**53]) | st.integers(0, 2**53)
+
+
+@st.composite
+def limit_tables(draw, n, values):
+    """A knot table's limits at a random composition, or rows of ``values``."""
+    if draw(st.booleans()):
+        spec = draw(urn_specs())
+        return _limit_table(spec.f, spec.r, spec.b, n)
+    return [draw(st.lists(values, min_size=m + 1, max_size=m + 1)) for m in range(n)]
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.sampled_from([1, _LANES - 1, _LANES, _LANES + 1])
+    | st.integers(1, 3 * _LANES + 5),
+)
+def test_lane_packed_histogram_equals_scalar_loop(data, n, seed, trials):
+    # a limit equal to a trial's first or second word tells < from <=
+    words = []
+    for trial in range(min(trials, 4)):
+        rng = trial_stream(seed, trial)
+        words += [rng.next_word() >> 11, rng.next_word() >> 11]
+    values = limits | st.sampled_from(words)
+    picks = sorted(data.draw(st.lists(values, max_size=3)))
+    tables = [data.draw(limit_tables(n, values)) for _ in range(len(picks) + 1)]
+    assert _histogram(tables, picks, n, trials, seed) == scalar_histogram(
+        tables, picks, n, trials, seed
+    )
 
 
 # positive Polya parameters: small rationals, integers and floats
