@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 # samplers.
 
 # Largest accepted --max-n and --n. A Beta law's `check --max-n 32 --method
-# all` takes about 2 s on a 2-vCPU machine, and the cost grows faster than
+# all` takes about 0.5 s on a 2-vCPU machine, and the cost grows faster than
 # n**3.
 MAX_ORDER = 32
 # Largest accepted simulate --trials; a million Beta draws of 32 bits take

@@ -30,6 +30,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .measures import DeFinettiMeasure
+from .rationals import as_rational
 
 
 class ClassificationKind(Enum):
@@ -80,7 +81,7 @@ class Classification:
 
 def moment_polynomials(x, y, z) -> tuple[Fraction, Fraction]:
     """Evaluate (f, g) at a point, exactly."""
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = as_rational(x, "x"), as_rational(y, "y"), as_rational(z, "z")
     f = 2 * x * x * z - x * y * y - x * x * y
     g = z * x - 2 * y * y + y * z
     return f, g
@@ -105,7 +106,7 @@ def next_moment(x, y, z) -> Fraction:
     first usable triple (mu_2, mu_1, mu_0), whose last entry is the zeroth
     moment.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = as_rational(x, "x"), as_rational(y, "y"), as_rational(z, "z")
     if not 0 < x < y < z <= 1:
         raise MomentRegionError(
             "moment triple must satisfy 0 < x < y < z <= 1"
@@ -132,7 +133,7 @@ def recover_beta(c1, c2) -> tuple[Fraction, Fraction]:
     Requires 0 < c1^2 < c2 < c1 < 1; equality c2 = c1^2 is the point-mass
     boundary where no Beta law exists.
     """
-    c1, c2 = Fraction(c1), Fraction(c2)
+    c1, c2 = as_rational(c1, "c1"), as_rational(c2, "c2")
     if not (0 < c1 < 1 and c1 * c1 < c2 < c1):
         raise MomentRegionError(
             "need 0 < c1^2 < c2 < c1 < 1 for a Beta law to exist"

@@ -20,7 +20,10 @@ kernels:
 * direct subspace equality (``level_subspace_check``, one level at a
   time): each Hoeffding layer must coincide with the span of lifted
   completely degenerate kernels, tested by exact orthogonality to all
-  lower-degree polynomials.
+  lower-degree polynomials. Each lift goes onto integers once per arity
+  m, its common numerators times the zero-count weights of order m, and
+  each orthogonality is the integer dot product of that row with a
+  column C(z, j), compared with zero.
 
 The two residual routes are tied by the exact identity
 
@@ -31,7 +34,8 @@ integer numerators over the common denominator of the integer row of
 order n+u-1 (see :mod:`hoeffding.measures`) and the reciprocal row of
 order n, and passes it by value: the residuals are those numerators over
 that denominator, and the weak row is the same numerators scaled by the
-identity, one ``Fraction`` per value. The reciprocal row is built in this
+identity, one ``Fraction`` per nonzero value; every zero numerator maps
+to one shared ``Fraction(0)``. The reciprocal row is built in this
 module from the integer row of order n (``_reciprocal_row``), once per n
 in a scan and once for a single certified residual. The checks
 are against the definitions, in code that reads neither that sum nor the
@@ -44,7 +48,10 @@ reciprocal row:
   ``symmetrize(cond_expectation_overlap(canonical_degenerate_kernel))``;
 * one whole weak row per scan is checked against that composed
   definition, so a fault that zeroes the sum, which leaves no witness to
-  certify, still raises.
+  certify, still raises;
+* the subspace route checks its integer verdict against
+  ``inner_product``: a failing pair (m, j) must be nonzero there, and on
+  a passing level the pair (2n-1, n-1) must be zero.
 
 A verdict of "decomposable up to n_max" is a bounded claim: the tests
 quantify over every n >= 2, and this module scans only n <= n_max.
@@ -66,7 +73,7 @@ from .errors import (
     ParameterRangeError,
 )
 from .measures import DeFinettiMeasure
-from .rationals import binom
+from .rationals import as_rational, binom
 from .symmetric import (
     SymmetricFunction,
     _common_numerators,
@@ -79,6 +86,9 @@ from .symmetric import (
 )
 
 Triple = tuple[int, int, int]
+
+# the one value every zero numerator of a scan maps to
+_ZERO = Fraction(0)
 
 
 class Verdict(Enum):
@@ -211,7 +221,7 @@ def iid_projection(statistic: SymmetricFunction, p, k: int) -> SymmetricFunction
     a-subset sits inside; it is what makes the lifted sums telescope to the
     exact orthogonal projection (verified exactly in the test suite).
     """
-    p = Fraction(p)
+    p = as_rational(p, "p")
     if not 0 < p < 1:
         raise ParameterRangeError("p must lie strictly between 0 and 1")
     n = statistic.n
@@ -241,7 +251,7 @@ def polya_projection_coefficients(alpha, beta) -> tuple[Fraction, Fraction, Frac
     against an independent Gram-matrix projection in the test suite; the
     closed forms printed in the literature do not reproduce it.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = as_rational(alpha, "alpha"), as_rational(beta, "beta")
     if alpha <= 0 or beta <= 0:
         raise ParameterRangeError("alpha and beta must be positive")
     s = alpha + beta
@@ -316,23 +326,26 @@ def _residual_numerators(
 
         t[z] = sum_k C(n-u,k) C(u-1,z-k) sum_m C(u,m) (-1)^(k+m) r[k+m] I[z+m].
 
+    The signs, C(n-u,k) and C(u,m) are folded into one block per k,
+    ``blocks[k][m] = (-1)^(k+m) C(n-u,k) C(u,m) r[k+m]``, built once per
+    (n, u), so each z is a plain slice of the row dotted with each block.
     Callers check non-determinism up to order n+u-1 first.
     """
     ints, common = measure._int_row(n + u - 1)
     reciprocals, reciprocal_common = reciprocal_row
     v, w = n - u, u - 1
-    # the binomials and the signed reciprocal blocks depend on (n, u) only
-    choose_u = [math.comb(u, m) for m in range(u + 1)]
-    choose_v = [math.comb(v, k) for k in range(v + 1)]
+    signed_u = [(-1) ** m * math.comb(u, m) for m in range(u + 1)]
     choose_w = [math.comb(w, j) for j in range(w + 1)]
-    signed = [r if i % 2 == 0 else -r for i, r in enumerate(reciprocals)]
-    blocks = [signed[k : k + u + 1] for k in range(v + 1)]
+    blocks = []
+    for k in range(v + 1):
+        scale = (-1) ** k * math.comb(v, k)
+        blocks.append([scale * c * r for c, r in zip(signed_u, reciprocals[k : k + u + 1])])
     numerators = []
     for z in range(n):
-        window = list(map(int.__mul__, choose_u, ints[z : z + u + 1]))
+        window = ints[z : z + u + 1]
         numerators.append(
             sum(
-                choose_v[k] * choose_w[z - k] * sum(map(int.__mul__, window, blocks[k]))
+                choose_w[z - k] * sum(map(int.__mul__, window, blocks[k]))
                 for k in range(max(0, z - w), min(z, v) + 1)
             )
         )
@@ -351,9 +364,9 @@ def _weak_residual_row(
 
         weak(z) = G ints_n[0] t[z] / (C D_n g[z] C(n-1,z)),
 
-    one ``Fraction`` per z. ``_certify_weak_row`` checks it against the
-    composed definition, which reads neither these numerators nor the
-    reciprocal row.
+    one ``Fraction`` per nonzero t[z] and the shared zero for the rest.
+    ``_certify_weak_row`` checks it against the composed definition, which
+    reads neither these numerators nor the reciprocal row.
     """
     given, given_common = measure._int_row(n - 1)
     order_n, order_n_common = measure._int_row(n)
@@ -361,7 +374,7 @@ def _weak_residual_row(
     common *= order_n_common
     return SymmetricFunction(
         tuple(
-            Fraction(scale * t, common * given[z] * math.comb(n - 1, z))
+            Fraction(scale * t, common * given[z] * math.comb(n - 1, z)) if t else _ZERO
             for z, t in enumerate(numerators)
         )
     )
@@ -411,6 +424,37 @@ def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fr
     return primary
 
 
+def _subspace_sums(
+    measure: DeFinettiMeasure, lifted: SymmetricFunction, columns: list[list[int]]
+) -> list[int]:
+    """``sum_z C(z, j) W[z] t[z]`` for each column ``C(z, j)``, z = 0..m:
+    the inner products of the lifted kernel of arity m with the columns,
+    times the positive common denominators D_m S that set only their
+    scale, with ``(W, D_m)`` the zero-count weights of order m and
+    ``(S, t)`` the lift on its common numerators."""
+    weights, _ = _zero_count_weights(measure, lifted.n)
+    _, t = _common_numerators(lifted.values)
+    weighted = list(map(int.__mul__, weights, t))
+    return [sum(map(int.__mul__, column, weighted)) for column in columns]
+
+
+def _certify_subspace_pair(
+    measure: DeFinettiMeasure, lifted: SymmetricFunction, j: int, vanishes: bool
+) -> None:
+    """Check one pair (m, j) of the subspace route against its definition,
+    ``inner_product(lifted, C(z, j))``: zero when ``vanishes``, else
+    nonzero."""
+    m = lifted.n
+    subsets = SymmetricFunction(tuple(binom(z, j) for z in range(m + 1)))
+    value = inner_product(lifted, subsets, measure)
+    if (value == 0) != vanishes:
+        expected = "zero" if vanishes else "nonzero"
+        raise InternalError(
+            f"subspace pair {(m, j)} reads {expected} on integers, "
+            f"but its inner product is {value}"
+        )
+
+
 def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
     """Subspace route at a single level n.
 
@@ -421,17 +465,30 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
     of degree <= n in the zero count (lifting is injective), so the two
     coincide exactly when the lift is orthogonal to every C(z, j), j < n.
     Equivalent to the vanishing of all residuals with first index n.
+
+    Each lift is put on integers once per m: with the zero-count weights
+    W of order m and the lift's common numerators t, the pair (m, j) is
+    the integer sum ``sum_z C(z, j) W[z] t[z]`` (``_subspace_sums``)
+    compared with zero, and no ``Fraction`` is built per pair. Two
+    certificates check these sums against the definition,
+    ``inner_product(lift, C(z, j))``, and raise ``InternalError`` on a
+    mismatch: on a False verdict the failing pair must be nonzero, and on a
+    True verdict the pair (2n-1, n-1) must be zero, so a fault that zeroes
+    every sum still raises on a level that fails there.
     """
     if n < 2:
         raise IndexRangeError("n must be at least 2")
     measure.require_nondeterministic(2 * n - 1)
     kernel = canonical_degenerate_kernel(measure, n)
+    # C(z, j) for z = 0..2n-1, zero below z = j; each lift reads its first m+1
+    columns = [[math.comb(z, j) for z in range(2 * n)] for j in range(n)]
     for m in range(n, 2 * n):
         lifted = lift_ustatistic(kernel, m)
-        for j in range(n):
-            subsets = SymmetricFunction(tuple(binom(z, j) for z in range(m + 1)))
-            if inner_product(lifted, subsets, measure) != 0:
+        for j, total in enumerate(_subspace_sums(measure, lifted, columns)):
+            if total:
+                _certify_subspace_pair(measure, lifted, j, vanishes=False)
                 return False
+    _certify_subspace_pair(measure, lifted, n - 1, vanishes=True)
     return True
 
 
@@ -463,7 +520,7 @@ def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> Decomposability
             row = _weak_residual_row(measure, n, u, numerators, common)
             for z, t in enumerate(numerators):
                 triple = (n, u, z)
-                residuals[triple] = Fraction(t, common)
+                residuals[triple] = Fraction(t, common) if t else _ZERO
                 cross[triple] = row[z]
                 if t and witness is None:
                     _certify_witness(measure, triple, residuals[triple], row)

@@ -1,8 +1,8 @@
 """Shared test measures, configuration-probability oracles (among them
 ``fraction_rows``, the marginalisation recurrence in ``Fraction``
-arithmetic), the ``Fraction`` residual-route oracles, the degenerate
-kernel by forward substitution, brute-force
-enumeration oracles, the Gram oracle, ``scan_classify`` (classification
+arithmetic), the ``Fraction`` residual-route oracles, the subspace route
+by one ``inner_product`` per pair (``inner_product_subspace_check``), the
+degenerate kernel by forward substitution, brute-force enumeration oracles, the Gram oracle, ``scan_classify`` (classification
 by the full residual scan), the ``Fraction`` layer-path oracles (the
 Stieltjes recurrence, the inner product, the lift and the prefix
 conditional expectation), the per-bit sampling oracle, the scalar
@@ -54,7 +54,10 @@ from hoeffding import (
     SymmetricFunction,
     UrnSpec,
     Verdict,
+    canonical_degenerate_kernel,
     check_decomposable,
+    inner_product,
+    lift_ustatistic,
 )
 from hoeffding.cli import (
     _render_classification,
@@ -292,6 +295,23 @@ def forward_substitution_kernel_basis(measure, n):
         zero = measure.config_probability(n, j + 1) / given
         values.append(-values[j] * one / zero)
     return [SymmetricFunction(tuple(values))]
+
+
+def inner_product_subspace_check(measure, n):
+    """The subspace route at level n by one ``inner_product`` per pair
+    (m, j): the lift of the canonical kernel to every arity m = n..2n-1
+    must be orthogonal to every C(z, j), j < n."""
+    if n < 2:
+        raise IndexRangeError("n must be at least 2")
+    measure.require_nondeterministic(2 * n - 1)
+    kernel = canonical_degenerate_kernel(measure, n)
+    for m in range(n, 2 * n):
+        lifted = lift_ustatistic(kernel, m)
+        for j in range(n):
+            subsets = SymmetricFunction(tuple(comb(z, j) for z in range(m + 1)))
+            if inner_product(lifted, subsets, measure) != 0:
+                return False
+    return True
 
 
 def fraction_check_decomposable(measure, n_max):

@@ -13,6 +13,7 @@ from hoeffding import (
     MomentRegionError,
     OrderExceededError,
     ParameterRangeError,
+    ParseError,
     Verdict,
     ZeroDenominatorError,
     check_decomposable,
@@ -48,6 +49,15 @@ class TestMomentPolynomials:
 
     def test_uniform_point(self):
         assert moment_polynomials(F(1, 12), F(1, 4), 1) == (F(1, 144), F(5, 24))
+
+    @pytest.mark.parametrize(
+        "point, what",
+        [(("x", 1, 1), "x"), ((1, float("inf"), 1), "y"), ((1, 1, float("nan")), "z")],
+        ids=["text", "inf", "nan"],
+    )
+    def test_point_must_be_rational(self, point, what):
+        with pytest.raises(ParseError, match=f"{what} must be a rational"):
+            moment_polynomials(*point)
 
 
 class TestMomentRecursionResidual:
@@ -121,6 +131,16 @@ class TestNextMoment:
         with pytest.raises(MomentRegionError):
             next_moment(F(1, 3), F(1, 2), F(3, 2))
 
+    @pytest.mark.parametrize(
+        "point, what",
+        [((F(1, 3), "y", 1), "y"), ((float("inf"), F(1, 2), 1), "x"),
+         ((F(1, 3), F(1, 2), float("nan")), "z")],
+        ids=["text", "inf", "nan"],
+    )
+    def test_point_must_be_rational(self, point, what):
+        with pytest.raises(ParseError, match=f"{what} must be a rational"):
+            next_moment(*point)
+
     def test_zero_denominator(self):
         # g(x, y, z) = zx - 2y^2 + yz vanishes at x = 3/8, y = 1/2, z = 4/7
         x, y, z = F(3, 8), F(1, 2), F(4, 7)
@@ -158,6 +178,15 @@ class TestRecoverBeta:
     )
     def test_region_violations(self, c1, c2):
         with pytest.raises(MomentRegionError):
+            recover_beta(c1, c2)
+
+    @pytest.mark.parametrize(
+        "c1, c2, what",
+        [("x", F(1, 3), "c1"), (F(1, 2), float("inf"), "c2"), (float("nan"), F(1, 3), "c1")],
+        ids=["text", "inf", "nan"],
+    )
+    def test_moments_must_be_rational(self, c1, c2, what):
+        with pytest.raises(ParseError, match=f"{what} must be a rational"):
             recover_beta(c1, c2)
 
 

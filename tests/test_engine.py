@@ -21,7 +21,9 @@ from hoeffding import (
     DeFinettiMeasure,
     DeterministicMeasureError,
     IndexRangeError,
+    InternalError,
     ParameterRangeError,
+    ParseError,
     SymmetricFunction,
     Verdict,
     canonical_degenerate_kernel,
@@ -267,6 +269,11 @@ class TestIidProjection:
         with pytest.raises(IndexRangeError):
             iid_projection(t, F(1, 2), 3)
 
+    @pytest.mark.parametrize("p", ["x", float("inf"), float("nan")], ids=["text", "inf", "nan"])
+    def test_p_must_be_rational(self, p):
+        with pytest.raises(ParseError, match="p must be a rational"):
+            iid_projection(SymmetricFunction.constant(2, 1), p, 1)
+
 
 def fitted_polya_coefficients(alpha, beta):
     """Exact coefficients expressing the Gram-oracle components of arity-3
@@ -306,6 +313,15 @@ class TestPolyaProjectionCoefficients:
     def test_positive_parameters_required(self):
         with pytest.raises(ParameterRangeError):
             polya_projection_coefficients(0, 1)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, what",
+        [("x", 1, "alpha"), (1, float("inf"), "beta"), (float("nan"), 1, "alpha")],
+        ids=["text", "inf", "nan"],
+    )
+    def test_parameters_must_be_rational(self, alpha, beta, what):
+        with pytest.raises(ParseError, match=f"{what} must be a rational"):
+            polya_projection_coefficients(alpha, beta)
 
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 3), (F(3, 2), 2)])
     def test_gram_route_disagrees_with_published_forms(self, alpha, beta):
@@ -398,6 +414,46 @@ class TestSubspaceRoute:
                 for z in range(n)
             )
             assert level_subspace_check(any_measure, n) == residuals_vanish
+
+    def test_certificate_reads_the_failing_pair_or_the_last_one(self, monkeypatch):
+        # a failing level certifies its first nonzero pair, and a passing
+        # level the pair (2n-1, n-1)
+        certified = []
+        monkeypatch.setattr(
+            engine,
+            "_certify_subspace_pair",
+            lambda measure, lifted, j, vanishes: certified.append((lifted.n, j, vanishes)),
+        )
+        for n in range(2, 6):
+            level_subspace_check(beta32(), n)
+        level_subspace_check(twopoint(), 3)
+        level_subspace_check(unif_half(), 2)
+        assert certified == [
+            (3, 1, True), (5, 2, True), (7, 3, True), (9, 4, True),
+            (4, 1, False), (3, 1, False),
+        ]
+
+    def test_zeroed_sums_raise(self, monkeypatch):
+        # with every integer sum zero, level 3 of the two-point law reads
+        # as passing; its pair (5, 2) is nonzero by inner_product
+        monkeypatch.setattr(
+            engine, "_subspace_sums", lambda measure, lifted, columns: [0] * len(columns)
+        )
+        with pytest.raises(InternalError, match=r"subspace pair \(5, 2\) reads zero"):
+            level_subspace_check(twopoint(), 3)
+
+    def test_one_nonzero_sum_raises(self, monkeypatch):
+        # a nonzero sum fails a Beta level; its pair is zero by inner_product
+        subspace_sums = engine._subspace_sums
+
+        def shifted(measure, lifted, columns):
+            totals = subspace_sums(measure, lifted, columns)
+            totals[-1] += 1
+            return totals
+
+        monkeypatch.setattr(engine, "_subspace_sums", shifted)
+        with pytest.raises(InternalError, match=r"subspace pair \(3, 2\) reads nonzero"):
+            level_subspace_check(beta32(), 3)
 
 
 class TestCheckDecomposable:

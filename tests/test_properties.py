@@ -98,6 +98,7 @@ from conftest import (
     fraction_rows,
     fraction_symmetrize,
     gram_decomposition,
+    inner_product_subspace_check,
     nondeterminism_scan,
     polya_limit_table,
     reference_histogram,
@@ -338,6 +339,16 @@ def outcome(function, *args):
 
 def grid_of(result):
     return result if isinstance(result, type) else [list(row) for row in result.values]
+
+
+@SETTINGS
+@given(measure=st.one_of(closed_form_laws, moment_laws(max_order=12)), n=st.integers(2, 6))
+def test_subspace_route_equals_inner_product_oracle(measure, n):
+    # endpoint atoms give deterministic laws, and moment laws truncated
+    # below order 2n-1 cannot be read that far: both sides raise alike
+    assert outcome(level_subspace_check, measure, n) == outcome(
+        inner_product_subspace_check, measure, n
+    )
 
 
 @st.composite
