@@ -11,9 +11,15 @@ Randomness contract
 All samplers are deterministic functions of (inputs, seed). Trial i of a
 report draws from its own stream so trials can run in any order or in
 parallel: the stream state is the first 8 bytes (big-endian) of
-SHA-256("<seed>/<i>") feeding a SplitMix64 generator, and uniforms are
-standard 53-bit mantissa draws. Both pieces are fixed algorithms specified
-here, independent of interpreter version, and stable across releases.
+SHA-256("<seed>/<i>") feeding a SplitMix64 generator. Both pieces are
+fixed algorithms specified here, independent of interpreter version, and
+stable across releases.
+
+No sampler draws a floating-point variate: every bit, and every atom pick,
+is one integer-threshold test on a SplitMix64 word. A Beta mixture is
+sampled as its Polya urn, the same law by de Finetti's theorem, so
+``sample_mixture`` of Beta(alpha, beta) draws exactly the bits of
+``sample_polya(alpha, beta)`` for the same n and seed.
 
 A bit is 1 when its uniform ``u = (w >> 11) * 2**-53`` is below the bit's
 float probability ``p``. The samplers compare integers instead: before
@@ -51,6 +57,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -89,10 +96,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random mantissa bits."""
-        return (self.next_word() >> 11) * 2.0**-53
 
 
 # (seed, sha256 of "<seed>/") of the latest experiment. The pair is replaced
@@ -253,7 +256,56 @@ def _limit_table(f: ReinforcementFunction, r, b, n: int) -> list[list[int]]:
     ]
 
 
-def _draw_from_table(table: Sequence[Sequence[int]], rng: SplitMix64) -> list[int]:
+def _tables(source, n: int) -> tuple[list, list[int]]:
+    """The limit tables of ``source`` and the pick limits that choose among
+    them, as ``_histogram`` reads them; ``MOMENTS`` laws are refused.
+
+    An ``UrnSpec`` gives its knot table, and a Beta law, by de Finetti, the
+    table of its Polya urn. A discrete law gives one constant table per atom
+    and the pick limits of its cumulative float weights, summed in atom
+    order. The last atom's table is listed twice: a first word above every
+    pick limit falls back to it.
+    """
+    if isinstance(source, UrnSpec):
+        return [_limit_table(source.f, source.r, source.b, n)], []
+    if source.kind is MeasureKind.MOMENTS:
+        raise UnsamplableKindError(
+            "truncated moment sequences cannot be sampled; only beta and "
+            "discrete measures are samplable"
+        )
+    if source.kind is MeasureKind.BETA:
+        identity = ReinforcementFunction.identity()
+        return [_limit_table(identity, source.beta_alpha, source.beta_beta, n)], []
+    tables = []
+    picks = []
+    acc = 0.0
+    for loc, w in source.atoms:
+        acc += float(w)
+        picks.append(_limit(acc))
+        tables.append([[_limit(float(loc))] * n] * n)
+    tables.append(tables[-1])
+    return tables, picks
+
+
+# the least value each size accepts; a seed may be any int
+_FLOORS = {"n": 1, "trials": 1000}
+
+
+def _check_sizes(**sizes) -> None:
+    """Refuse a sampler's ``n``, ``trials`` or ``seed`` unless it is an
+    ``int`` (a ``bool`` is not) at or above its floor."""
+    for name, value in sizes.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterRangeError(f"{name} must be an int, got {value!r}")
+        if value < _FLOORS.get(name, value):
+            raise ParameterRangeError(f"{name} must be at least {_FLOORS[name]}")
+
+
+def _draw_from_table(tables, picks: Sequence[int], seed: int) -> list[int]:
+    """Trial 0 of ``_histogram`` as its sequence of bits: the first word
+    picks the table when there are ``picks``, then one word per bit."""
+    rng = trial_stream(seed, 0)
+    table = tables[bisect_right(picks, rng.next_word() >> 11)] if picks else tables[0]
     sequence = []
     ones = 0
     for row in table:
@@ -267,102 +319,26 @@ def sample_polya(alpha, beta, n: int, seed: int) -> list[int]:
     """One Polya draw of length n via the reinforcement predictive rule
     P(next is 1 | s ones among m) = (alpha + s)/(alpha + beta + m)."""
     # comparisons with inf are exact for ints and Fractions, and refuse NaN
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+    if not all(isinstance(x, Real) and 0 < x < math.inf for x in (alpha, beta)):
         raise ParameterRangeError("alpha and beta must be finite and positive")
-    if n < 1:
-        raise ParameterRangeError("n must be at least 1")
+    _check_sizes(n=n, seed=seed)
     table = _limit_table(ReinforcementFunction.identity(), alpha, beta, n)
-    return _draw_from_table(table, trial_stream(seed, 0))
+    return _draw_from_table([table], [], seed)
 
 
 def sample_urn_process(spec: UrnSpec, n: int, seed: int) -> list[int]:
     """One urn-process draw: each step applies the reinforcement map to the
     current red proportion (r + #ones)/(r + b + m)."""
-    if n < 1:
-        raise ParameterRangeError("n must be at least 1")
-    table = _limit_table(spec.f, spec.r, spec.b, n)
-    return _draw_from_table(table, trial_stream(seed, 0))
-
-
-def _normal(rng: SplitMix64) -> float:
-    # Box-Muller, cosine branch only; two uniforms per variate.
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def _gamma(shape: float, rng: SplitMix64) -> float:
-    # Marsaglia-Tsang squeeze; shape < 1 boosted through the power trick.
-    if shape < 1.0:
-        u = 1.0 - rng.random()
-        return _gamma(shape + 1.0, rng) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = _normal(rng)
-        t = 1.0 + c * x
-        if t <= 0.0:
-            continue
-        v = t * t * t
-        u = 1.0 - rng.random()
-        if u < 1.0 - 0.0331 * x**4:
-            return d * v
-        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
-
-
-def _beta_variate(alpha: float, beta: float, rng: SplitMix64) -> float:
-    g1 = _gamma(alpha, rng)
-    g2 = _gamma(beta, rng)
-    return g1 / (g1 + g2)
-
-
-def _constant_table(p: float, n: int) -> list[list[int]]:
-    """The limit table of n i.i.d. Bernoulli(p) bits (rows shared)."""
-    return [[_limit(p)] * n] * n
-
-
-def _atom_tables(measure: DeFinettiMeasure, n: int) -> tuple[list, list[int]]:
-    """The limit tables of a discrete law's atoms, and the pick limits of
-    its cumulative float weights, summed in atom order.
-
-    A first word below pick limit i and no earlier one selects atom i. The
-    last atom's table is listed twice: a first word above every pick limit
-    falls back to it.
-    """
-    tables = []
-    picks = []
-    acc = 0.0
-    for loc, w in measure.atoms:
-        acc += float(w)
-        picks.append(_limit(acc))
-        tables.append(_constant_table(float(loc), n))
-    tables.append(tables[-1])
-    return tables, picks
-
-
-def _require_samplable(measure: DeFinettiMeasure) -> None:
-    if measure.kind is MeasureKind.MOMENTS:
-        raise UnsamplableKindError(
-            "truncated moment sequences cannot be sampled; only beta and "
-            "discrete measures are samplable"
-        )
+    _check_sizes(n=n, seed=seed)
+    return _draw_from_table(*_tables(spec, n), seed)
 
 
 def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
-    """Two-stage draw: a success probability from the mixing law, then n
-    conditionally independent bits."""
-    if n < 1:
-        raise ParameterRangeError("n must be at least 1")
-    _require_samplable(measure)
-    rng = trial_stream(seed, 0)
-    if measure.kind is MeasureKind.BETA:
-        theta = _beta_variate(float(measure.beta_alpha), float(measure.beta_beta), rng)
-        table = _constant_table(theta, n)
-    else:
-        tables, picks = _atom_tables(measure, n)
-        table = tables[bisect_right(picks, rng.next_word() >> 11)]
-    return _draw_from_table(table, rng)
+    """One draw of n bits from a de Finetti mixture: a discrete law picks an
+    atom and draws i.i.d. bits from it; a Beta law draws its Polya urn,
+    bit for bit ``sample_polya`` of the same parameters and seed."""
+    _check_sizes(n=n, seed=seed)
+    return _draw_from_table(*_tables(measure, n), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +464,11 @@ def _histogram(
             at_least.append(at_least[m] & hits)
             for s in range(m, 0, -1):
                 at_least[s] |= at_least[s - 1] & hits
-        at_least.append(0)
-        for s in range(n + 1):
-            counts[n - s] += at_least[s].bit_count() - at_least[s + 1].bit_count()
+        above = 0
+        for s in range(n, -1, -1):
+            drawn = at_least[s].bit_count()
+            counts[n - s] += drawn - above
+            above = drawn
     return counts
 
 
@@ -500,21 +478,12 @@ def compare_exact_empirical(
     """Sample `trials` sequences and compare zero-count frequencies with the
     exact cell probabilities C(n, j) P_n(j zeros).
 
-    Beta measures are drawn through the predictive rule (exact rational
-    state probabilities, floated once); discrete measures through the
-    two-stage mixture path.
+    Each trial is a ``sample_mixture`` draw: a Beta law through its Polya
+    urn (exact rational state probabilities, floated once), a discrete law
+    by an atom pick and then i.i.d. bits.
     """
-    if n < 1:
-        raise ParameterRangeError("n must be at least 1")
-    if trials < 1000:
-        raise ParameterRangeError("trials must be at least 1000")
-    _require_samplable(measure)
-    if measure.kind is MeasureKind.BETA:
-        identity = ReinforcementFunction.identity()
-        table = _limit_table(identity, measure.beta_alpha, measure.beta_beta, n)
-        counts = _histogram([table], (), n, trials, seed)
-    else:
-        counts = _histogram(*_atom_tables(measure, n), n, trials, seed)
+    _check_sizes(n=n, trials=trials, seed=seed)
+    counts = _histogram(*_tables(measure, n), n, trials, seed)
     rows = []
     for j in range(n + 1):
         expected = math.comb(n, j) * measure.config_probability(n, j)
@@ -535,11 +504,8 @@ def compare_exact_empirical(
 def urn_histogram(spec: UrnSpec, n: int, trials: int, seed: int) -> SampleReport:
     """Zero-count histogram of repeated urn-process draws (no exact column:
     a general reinforcement map has no closed-form cell probabilities)."""
-    if n < 1:
-        raise ParameterRangeError("n must be at least 1")
-    if trials < 1000:
-        raise ParameterRangeError("trials must be at least 1000")
-    counts = _histogram([_limit_table(spec.f, spec.r, spec.b, n)], (), n, trials, seed)
+    _check_sizes(n=n, trials=trials, seed=seed)
+    counts = _histogram(*_tables(spec, n), n, trials, seed)
     return SampleReport(
         n=n, trials=trials, seed=seed, zero_count_histogram=tuple(counts)
     )

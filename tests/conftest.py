@@ -20,8 +20,12 @@ enumerate binary configurations (or permutations, or subsets) and weight
 them with per-atom mixture probabilities, or project by Gauss-Jordan solves
 of Gram matrices. They share no code with the library paths they check, so
 exact agreement between the two is meaningful. The sampling oracle shares
-only the specified generator (``trial_stream`` and ``SplitMix64.random``)
-and compares float uniforms with float probabilities, bit by bit.
+only the specified generator (``trial_stream``), reads each word as the
+float uniform ``uniform`` defined here, and compares it with a float
+probability, bit by bit. The library itself draws no float variate: it
+tests each word against an integer limit, and it samples a Beta mixture as
+its Polya urn, which is why the oracle draws a Beta law by the predictive
+rule.
 """
 
 import json
@@ -851,9 +855,15 @@ def polya_limit_table(alpha, beta, n):
     ]
 
 
+def uniform(rng):
+    """The next word of a ``SplitMix64`` as a float in [0, 1) with 53
+    random mantissa bits."""
+    return (rng.next_word() >> 11) * 2.0**-53
+
+
 def reference_histogram(source, n, trials, seed):
-    """Zero-count histogram of ``trials`` draws of n bits, one
-    ``SplitMix64.random()`` per bit compared with a float probability.
+    """Zero-count histogram of ``trials`` draws of n bits, one ``uniform``
+    per bit compared with a float probability.
 
     ``source`` is an ``UrnSpec`` (reinforcement applied to the red
     proportion), a Beta measure (predictive rule (alpha + s)/(alpha + beta + m))
@@ -879,7 +889,7 @@ def reference_histogram(source, n, trials, seed):
         rng = trial_stream(seed, trial)
         ones = 0
         if table is None:
-            u = rng.random()
+            u = uniform(rng)
             acc = 0.0
             theta = float(source.atoms[-1][0])
             for location, weight in source.atoms:
@@ -888,10 +898,10 @@ def reference_histogram(source, n, trials, seed):
                     theta = float(location)
                     break
             for _ in range(n):
-                ones += rng.random() < theta
+                ones += uniform(rng) < theta
         else:
             for m in range(n):
-                ones += rng.random() < table[m][ones]
+                ones += uniform(rng) < table[m][ones]
         counts[n - ones] += 1
     return counts
 

@@ -1,10 +1,11 @@
 """The public surface of the package: the pinned ``__all__``, the names the
 package resolves lazily and the modules that define them, the version, the
 absence of ``assert`` statements in library code (``python -O`` strips
-them, so invariants must raise), and of module-global state but one
-sanctioned cache."""
+them, so invariants must raise), of module-global state but one
+sanctioned cache, and of functions that only the tests call."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -154,6 +155,58 @@ def test_library_keeps_no_module_global_state_but_the_seed_prefix():
             if isinstance(node, ast.Global)
         ]
     assert sites == [("montecarlo", "trial_stream", ("_seed_prefix",))]
+
+
+def test_library_defines_no_function_only_the_tests_call():
+    # every function and method is referenced by name somewhere in the
+    # package, outside its own body, unless it is public (in __all__, or a
+    # public method of a class in __all__), a dunder, or an override of a
+    # method that a base class from outside the package defines
+    referenced = set()
+    defined = []
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = f"hoeffding.{path.stem}"
+        classes = {
+            method: node.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for method in node.body
+        }
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((module, classes.get(node), node.name))
+                function = node.name
+            elif isinstance(node, ast.Name) and node.id != function:
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != function:
+                referenced.add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+
+    def exempt(module, owner, name):
+        if name.startswith("__") and name.endswith("__"):
+            return True
+        if owner is None:
+            return name in hoeffding.__all__
+        if owner in hoeffding.__all__ and not name.startswith("_"):
+            return True
+        cls = getattr(importlib.import_module(module), owner)
+        return any(
+            hasattr(base, name)
+            for base in cls.__mro__[1:]
+            if not base.__module__.startswith("hoeffding")
+        )
+
+    unreferenced = [
+        f"{module}.{owner + '.' if owner else ''}{name}"
+        for module, owner, name in defined
+        if name not in referenced and not exempt(module, owner, name)
+    ]
+    assert unreferenced == []
 
 
 def test_version_matches_pyproject():

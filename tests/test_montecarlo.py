@@ -33,7 +33,7 @@ from hoeffding import (
 from hoeffding import montecarlo
 from hoeffding.montecarlo import SplitMix64, _limit, trial_stream
 from hoeffding.rationals import binom
-from conftest import DEFAULT_Z_THRESHOLD, beta23, dirac12, unif_half
+from conftest import DEFAULT_Z_THRESHOLD, beta23, dirac12, unif_half, uniform
 
 F = Fraction
 
@@ -74,7 +74,7 @@ class TestGenerator:
     def test_uniforms_frozen(self):
         # regression anchor: the uniform stream must never change
         g = SplitMix64(42)
-        assert [g.random() for _ in range(3)] == [
+        assert [uniform(g) for _ in range(3)] == [
             0.7415648787718233,
             0.1599103928769201,
             0.27860113025513866,
@@ -213,6 +213,60 @@ class TestStreamContract:
         assert calls == [(31, trial) for trial in range(1234)]
 
 
+# a value of each wrong type for each size argument: text, a float, a bool
+# and None, each standing where a valid int would draw
+BAD_SIZES = {
+    "n": ["4", 4.0, True, None],
+    "trials": ["2000", 2000.0, True, None],
+    "seed": ["1", 1.0, True, None],
+}
+DRAW = {"n": 4, "seed": 1}
+HISTOGRAM = {"n": 4, "trials": 2000, "seed": 1}
+
+
+def bad_sizes(valid):
+    return [({**valid, name: value}, name) for name in valid for value in BAD_SIZES[name]]
+
+
+class TestSizeArguments:
+    # n, trials and seed must be ints, checked once per call before any stream
+    @pytest.fixture(autouse=True)
+    def no_stream(self, monkeypatch):
+        def refuse(seed, trial):
+            raise AssertionError("a stream was drawn")
+
+        monkeypatch.setattr(montecarlo, "trial_stream", refuse)
+
+    @staticmethod
+    def refused(name):
+        return pytest.raises(ParameterRangeError, match=f"{name} must be an int")
+
+    @pytest.mark.parametrize("sizes, name", bad_sizes(DRAW))
+    def test_sample_polya(self, sizes, name):
+        with self.refused(name):
+            sample_polya(2, 3, **sizes)
+
+    @pytest.mark.parametrize("sizes, name", bad_sizes(DRAW))
+    def test_sample_mixture(self, sizes, name):
+        with self.refused(name):
+            sample_mixture(beta23(), **sizes)
+
+    @pytest.mark.parametrize("sizes, name", bad_sizes(DRAW))
+    def test_sample_urn_process(self, sizes, name):
+        with self.refused(name):
+            sample_urn_process(UrnSpec(f=ReinforcementFunction.identity(), r=1, b=1), **sizes)
+
+    @pytest.mark.parametrize("sizes, name", bad_sizes(HISTOGRAM))
+    def test_compare_exact_empirical(self, sizes, name):
+        with self.refused(name):
+            compare_exact_empirical(beta23(), **sizes)
+
+    @pytest.mark.parametrize("sizes, name", bad_sizes(HISTOGRAM))
+    def test_urn_histogram(self, sizes, name):
+        with self.refused(name):
+            urn_histogram(UrnSpec(f=ReinforcementFunction.identity(), r=1, b=1), **sizes)
+
+
 class TestSamplePolya:
     def test_deterministic(self):
         a = sample_polya(1, 1, 20, seed=5)
@@ -232,6 +286,14 @@ class TestSamplePolya:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("position", [0, 1])
     def test_parameters_must_be_finite(self, position, value):
+        parameters = [1, 1]
+        parameters[position] = value
+        with pytest.raises(ParameterRangeError, match="finite and positive"):
+            sample_polya(*parameters, 3, seed=1)
+
+    @pytest.mark.parametrize("value", ["a", None, [1], 1j])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_parameters_must_be_numbers(self, position, value):
         parameters = [1, 1]
         parameters[position] = value
         with pytest.raises(ParameterRangeError, match="finite and positive"):
@@ -557,6 +619,7 @@ def bits(sequence):
 GOLDEN_SEQUENCES = {
     "polya(1,1)": lambda seed: sample_polya(1, 1, 40, seed),
     "polya(3/2,2)": lambda seed: sample_polya(F(3, 2), 2, 40, seed),
+    "polya(1/2,1/3)": lambda seed: sample_polya(F(1, 2), F(1, 3), 40, seed),
     **{
         f"urn:{name}": (lambda spec: lambda seed: sample_urn_process(spec, 40, seed))(spec)
         for name, spec in GOLDEN_URNS.items()
@@ -682,10 +745,10 @@ GOLDEN_BITS = {
     ('urn:table(clamp)', 2718281828): '1111111111111111111111111111111111111111',
     ('urn:table(tent)', 5): '1011110110010111110010111010011011011101',
     ('urn:table(tent)', 2718281828): '1110101111011010001011110101010011011110',
-    ('mixture:beta(1,1)', 5): '0010000100100010100000000011001100000010',
-    ('mixture:beta(1,1)', 2718281828): '0101000010000001000000000000000000101100',
-    ('mixture:beta(3/2,2)', 5): '0010000100100010100000000011001100000010',
-    ('mixture:beta(3/2,2)', 2718281828): '0101000010000001000000000000000000101100',
+    ('mixture:beta(1,1)', 5): '1111111111111111110011111111111111111111',
+    ('mixture:beta(1,1)', 2718281828): '1111111111111011101111111111111111011111',
+    ('mixture:beta(3/2,2)', 5): '1011110110000100110010111010001011011100',
+    ('mixture:beta(3/2,2)', 2718281828): '1111111111011010101011110101010011011110',
     ('mixture:dirac(1/3)', 5): '0101101100001001000101000000000110011000',
     ('mixture:dirac(1/3)', 2718281828): '0001001110000100000010101000000000010101',
     ('mixture:dirac(0)', 5): '0000000000000000000000000000000000000000',
@@ -698,8 +761,10 @@ GOLDEN_BITS = {
     ('mixture:twopoint(0,2/3)', 2718281828): '1111111110110100010111101010100110111101',
     ('mixture:threepoint(0,1/2,1)', 5): '0111101100001001100101100000010110111000',
     ('mixture:threepoint(0,1/2,1)', 2718281828): '0101001110110100010110101010000010110101',
-    ('mixture:beta(1/2,1/3)', 5): '1001011111001011101001101101110100001011',
-    ('mixture:beta(1/2,1/3)', 2718281828): '1101101000101101010101001101111011110001',
+    ('mixture:beta(1/2,1/3)', 5): '1111111111111111110011111111111111111111',
+    ('mixture:beta(1/2,1/3)', 2718281828): '1111111111111011101111111111111111111111',
+    ('polya(1/2,1/3)', 5): '1111111111111111110011111111111111111111',
+    ('polya(1/2,1/3)', 2718281828): '1111111111111011101111111111111111111111',
 }
 
 
@@ -716,3 +781,13 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("name, seed", sorted(GOLDEN_BITS), ids=lambda v: str(v))
     def test_sequence(self, name, seed):
         assert bits(GOLDEN_SEQUENCES[name](seed)) == GOLDEN_BITS[name, seed]
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        sorted(key for key in GOLDEN_BITS if key[0].startswith("mixture:beta(")),
+        ids=lambda v: str(v),
+    )
+    def test_beta_mixture_rows_are_polya_rows(self, name, seed):
+        # by de Finetti a Beta mixture is its Polya urn, drawn bit for bit
+        law = name.removeprefix("mixture:beta")
+        assert GOLDEN_BITS[name, seed] == GOLDEN_BITS[f"polya{law}", seed]

@@ -70,6 +70,8 @@ from hoeffding import (
     inner_product,
     level_subspace_check,
     lift_ustatistic,
+    sample_mixture,
+    sample_polya,
     symmetrize,
     urn_histogram,
 )
@@ -902,6 +904,20 @@ polya_parameters = st.one_of(
 def test_identity_limit_table_is_the_polya_rule(alpha, beta, n):
     identity = ReinforcementFunction.identity()
     assert _limit_table(identity, alpha, beta, n) == polya_limit_table(alpha, beta, n)
+
+
+@SETTINGS
+@given(
+    alpha=st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+    beta=st.builds(F, st.integers(1, 60), st.integers(1, 12)),
+    n=st.integers(1, 40),
+    seed=st.integers(),
+)
+def test_beta_mixture_is_its_polya_urn(alpha, beta, n, seed):
+    # de Finetti: the Beta(alpha, beta) mixture of i.i.d. bits is the Polya
+    # urn of composition (alpha, beta), and both draw its bits the same way
+    measure = DeFinettiMeasure.beta(alpha, beta)
+    assert sample_mixture(measure, n, seed) == sample_polya(alpha, beta, n, seed)
 
 
 @SETTINGS
