@@ -20,10 +20,12 @@ kernels:
 * direct subspace equality (``level_subspace_check``, one level at a
   time): each Hoeffding layer must coincide with the span of lifted
   completely degenerate kernels, tested by exact orthogonality to all
-  lower-degree polynomials. Each lift goes onto integers once per arity
-  m, its common numerators times the zero-count weights of order m, and
-  each orthogonality is the integer dot product of that row with a
-  column C(z, j), compared with zero.
+  lower-degree polynomials. The route runs on integers from the
+  configuration row to the verdict: the kernel's numerators are the
+  signed reciprocal row of order n, their lift to each arity m is an
+  integer row, and each orthogonality is the integer dot product of that
+  row, times the zero-count weights of order m, with a column C(z, j),
+  compared with zero.
 
 The two residual routes are tied by the exact identity
 
@@ -49,9 +51,10 @@ reciprocal row:
 * one whole weak row per scan is checked against that composed
   definition, so a fault that zeroes the sum, which leaves no witness to
   certify, still raises;
-* the subspace route checks its integer verdict against
-  ``inner_product``: a failing pair (m, j) must be nonzero there, and on
-  a passing level the pair (2n-1, n-1) must be zero.
+* the subspace route checks its integer verdict once per level against
+  ``inner_product`` of the canonical kernel lifted by
+  ``lift_ustatistic``: a failing pair (m, j) must be nonzero there, and
+  on a passing level the pair (2n-1, n-1) must be zero.
 
 A verdict of "decomposable up to n_max" is a bounded claim: the tests
 quantify over every n >= 2, and this module scans only n <= n_max.
@@ -77,6 +80,7 @@ from .rationals import as_rational, binom
 from .symmetric import (
     SymmetricFunction,
     _common_numerators,
+    _lift_numerators,
     _zero_count_weights,
     cond_expectation_overlap,
     cond_expectation_prefix,
@@ -425,16 +429,15 @@ def _certified_residual(measure: DeFinettiMeasure, n: int, u: int, z: int) -> Fr
 
 
 def _subspace_sums(
-    measure: DeFinettiMeasure, lifted: SymmetricFunction, columns: list[list[int]]
+    measure: DeFinettiMeasure, lifted: list[int], columns: list[list[int]]
 ) -> list[int]:
     """``sum_z C(z, j) W[z] t[z]`` for each column ``C(z, j)``, z = 0..m:
-    the inner products of the lifted kernel of arity m with the columns,
-    times the positive common denominators D_m S that set only their
-    scale, with ``(W, D_m)`` the zero-count weights of order m and
-    ``(S, t)`` the lift on its common numerators."""
-    weights, _ = _zero_count_weights(measure, lifted.n)
-    _, t = _common_numerators(lifted.values)
-    weighted = list(map(int.__mul__, weights, t))
+    the inner products of a lifted kernel of arity m with the columns,
+    times positive factors that set only their scale, with ``W`` the
+    integer zero-count weights of order m and ``t`` the lift's integer
+    numerators."""
+    weights, _ = _zero_count_weights(measure, len(lifted) - 1)
+    weighted = list(map(int.__mul__, weights, lifted))
     return [sum(map(int.__mul__, column, weighted)) for column in columns]
 
 
@@ -466,30 +469,40 @@ def level_subspace_check(measure: DeFinettiMeasure, n: int) -> bool:
     coincide exactly when the lift is orthogonal to every C(z, j), j < n.
     Equivalent to the vanishing of all residuals with first index n.
 
-    Each lift is put on integers once per m: with the zero-count weights
-    W of order m and the lift's common numerators t, the pair (m, j) is
-    the integer sum ``sum_z C(z, j) W[z] t[z]`` (``_subspace_sums``)
-    compared with zero, and no ``Fraction`` is built per pair. Two
-    certificates check these sums against the definition,
-    ``inner_product(lift, C(z, j))``, and raise ``InternalError`` on a
-    mismatch: on a False verdict the failing pair must be nonzero, and on a
-    True verdict the pair (2n-1, n-1) must be zero, so a fault that zeroes
-    every sum still raises on a level that fails there.
+    The route runs on integers from the configuration row to the verdict.
+    With ``(I, D_n)`` the integer row of order n and ``(r, L)`` its
+    reciprocal row (``_reciprocal_row``), the numerators ``(-1)^k r[k]``
+    are the canonical kernel times the positive L D_n / I[0], so they
+    have its zeros. Their lift to arity m is the integer row
+    ``sum_k C(z,k) C(m-z,n-k) t[k]``, z = 0..m, the lift
+    ``lift_ustatistic`` takes too (``symmetric._lift_numerators``, all m at
+    once), and the pair (m, j) is the integer sum
+    ``sum_z C(z, j) W[z] t[z]`` with W the zero-count weights of order m
+    (``_subspace_sums``), compared with zero. No ``Fraction`` is built per
+    arity or per pair. Two
+    certificates check these sums against the definitions, once per
+    level: ``inner_product(lift_ustatistic(canonical kernel, m), C(z, j))``
+    must be nonzero at the failing pair of a False verdict, and zero at
+    the pair (2n-1, n-1) of a True one, so a fault that zeroes every sum
+    still raises on a level that fails there. Each raises
+    ``InternalError`` on a mismatch.
     """
     if n < 2:
         raise IndexRangeError("n must be at least 2")
     measure.require_nondeterministic(2 * n - 1)
-    kernel = canonical_degenerate_kernel(measure, n)
+    reciprocals, _ = _reciprocal_row(*measure._int_row(n))
+    kernel = [-r if k % 2 else r for k, r in enumerate(reciprocals)]
     # C(z, j) for z = 0..2n-1, zero below z = j; each lift reads its first m+1
     columns = [[math.comb(z, j) for z in range(2 * n)] for j in range(n)]
-    for m in range(n, 2 * n):
-        lifted = lift_ustatistic(kernel, m)
-        for j, total in enumerate(_subspace_sums(measure, lifted, columns)):
-            if total:
-                _certify_subspace_pair(measure, lifted, j, vanishes=False)
-                return False
-    _certify_subspace_pair(measure, lifted, n - 1, vanishes=True)
-    return True
+    for m, lifted in enumerate(_lift_numerators(kernel, 2 * n - 1), n):
+        sums = _subspace_sums(measure, lifted, columns)
+        failing = [j for j, total in enumerate(sums) if total]
+        if failing:
+            break
+    # certify the first failing pair, or the pair (2n-1, n-1) of a passing level
+    lifted = lift_ustatistic(canonical_degenerate_kernel(measure, n), m)
+    _certify_subspace_pair(measure, lifted, failing[0] if failing else n - 1, not failing)
+    return not failing
 
 
 def check_decomposable(measure: DeFinettiMeasure, n_max: int) -> DecomposabilityReport:

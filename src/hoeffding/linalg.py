@@ -19,7 +19,9 @@ N_k and N_{k-1} of a_k and b_k gives
 
     Q_{k+1} = (N_k N_{k-1} z - M_k N_{k-1}) Q_k - P_k N_k Q_{k-1},
 
-divided by the gcd of its entries. A projection <T, Q_k> / N_k * Q_k does
+divided by the gcd of its entries; the three scalars are divided by
+their own gcd first, which leaves the primitive Q_{k+1} the same and keeps
+the intermediate entries short. A projection <T, Q_k> / N_k * Q_k does
 not depend on how Q_k is scaled, and a common factor of the weights
 cancels from it, so integer weights lose nothing. Every operation is on
 integers: no gcd per term and no tolerance anywhere.
@@ -58,6 +60,9 @@ def orthogonal_polynomials(
         slope = norm * previous_norm
         offset = shift * previous_norm
         step = overlap * norm
+        # a common factor of the scalars divides every entry: drop it first
+        scalars = math.gcd(slope, offset, step)
+        slope, offset, step = slope // scalars, offset // scalars, step // scalars
         following = [
             (slope * z - offset) * q - step * p
             for z, (q, p) in enumerate(zip(current, previous))

@@ -10,8 +10,9 @@ of i.i.d. Bernoulli sequences; the mixing law on [0,1] determines everything.
     one factor per order on top of ``mu_{n-1}``.
 ``DISCRETE``
     A finite mixture of point masses at rational locations in [0,1];
-    a single atom gives an i.i.d. sequence. Moments are ``sum_i w_i x_i^n``
-    on one common denominator.
+    a single atom gives an i.i.d. sequence. Moments are ``sum_i w_i x_i^n``,
+    summed on integers over one running common denominator, with one
+    ``Fraction`` per order.
 ``MOMENTS``
     A truncated moment sequence ``mu_0..mu_M`` whose configuration rows are
     non-negative up to order ``M``: the moments of an exchangeable law on
@@ -162,6 +163,8 @@ class DeFinettiMeasure:
         epsilon = as_rational(epsilon, "epsilon")
         if not 0 < epsilon <= 1:
             raise ParseError("epsilon must lie in (0, 1]")
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise ParseError(f"order must be an integer, got {order!r}")
         if order < 0:
             raise ParseError("order must be non-negative")
         return cls.from_moments([epsilon**n / (n + 1) for n in range(order + 1)])
@@ -261,7 +264,9 @@ class DeFinettiMeasure:
           (p + (m-1) q) s / (p s + r q + (m-1) q s), so each order costs two
           integer products and one ``Fraction``.
         * Discrete: with w_i = c_i/d_i and x_i = a_i/b_i,
-          mu_m = sum_i c_i a_i^m / (d_i b_i^m) on one common denominator.
+          mu_m = sum_i c_i a_i^m / (d_i b_i^m), summed on integers over one
+          running denominator, the lcm of the d_i b_i^m so far, and
+          reduced once into one ``Fraction``.
         * Moments: the stored value.
         """
         if self.kind is MeasureKind.BETA:
@@ -274,12 +279,15 @@ class DeFinettiMeasure:
                 previous.denominator * (p * s + r * q + (m - 1) * q * s),
             )
         if self.kind is MeasureKind.DISCRETE:
-            terms = [
-                (w.numerator * x.numerator**m, w.denominator * x.denominator**m)
-                for x, w in self.atoms
-            ]
-            common = math.lcm(*(d for _, d in terms))
-            return Fraction(sum(c * (common // d) for c, d in terms), common)
+            numerator, denominator = 0, 1
+            for x, w in self.atoms:
+                d = w.denominator * x.denominator**m
+                common = math.lcm(denominator, d)
+                numerator = numerator * (common // denominator) + (
+                    w.numerator * x.numerator**m * (common // d)
+                )
+                denominator = common
+            return Fraction(numerator, denominator)
         return self.moment_values[m]
 
     # -- conditional and predictive probabilities ------------------------

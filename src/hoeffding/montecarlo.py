@@ -2,9 +2,9 @@
 
 This is the only module that touches floating point, and it does so after
 the exact work is finished: per-state predictive probabilities are computed
-as rationals and converted once (round-to-nearest) before the sampling
-loop, and exact expected cell probabilities are converted once per
-comparison row.
+as rationals and converted once (round-to-nearest), for a histogram before
+the sampling loop and for a single draw as it reaches each state, and exact
+expected cell probabilities are converted once per comparison row.
 
 Randomness contract
 -------------------
@@ -22,8 +22,8 @@ sampled as its Polya urn, the same law by de Finetti's theorem, so
 ``sample_polya(alpha, beta)`` for the same n and seed.
 
 A bit is 1 when its uniform ``u = (w >> 11) * 2**-53`` is below the bit's
-float probability ``p``. The samplers compare integers instead: before
-the bits are drawn they turn each ``p`` into ``ceil(p * 2**53)``, and
+float probability ``p``. The samplers compare integers instead: they
+turn each ``p`` into ``ceil(p * 2**53)`` before its bit is drawn, and
 they test ``(w >> 11) < ceil(p * 2**53)``. Both products are exact, because
 ``w >> 11`` has at most 53 bits and scaling a float by a power of two only
 moves its exponent, so for an integer ``k`` the test ``k * 2**-53 < p``
@@ -241,33 +241,37 @@ def _limit(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _limit_table(f: ReinforcementFunction, r, b, n: int) -> list[list[int]]:
-    """table[m][s] = limit of f((r + s)/(r + b + m)), the probability that
-    draw m + 1 is a one after s ones among m, floated once.
+def _limit_entry(f: ReinforcementFunction, r, b, m: int, s: int) -> int:
+    """The limit of f((r + s)/(r + b + m)), the probability that draw m + 1
+    is a one after s ones among m, floated once.
 
     The Polya rule (alpha + s)/(alpha + beta + m) is the identity map at
     the urn proportion of composition (alpha, beta). The proportion is a
     ``Fraction`` for rational counts, and for float counts the float
     quotient, since ``Fraction / float`` divides in floats.
     """
-    return [
-        [_limit(float(f(Fraction(r + s) / (r + b + m)))) for s in range(m + 1)]
-        for m in range(n)
-    ]
+    return _limit(float(f(Fraction(r + s) / (r + b + m))))
 
 
-def _tables(source, n: int) -> tuple[list, list[int]]:
-    """The limit tables of ``source`` and the pick limits that choose among
-    them, as ``_histogram`` reads them; ``MOMENTS`` laws are refused.
+def _limit_table(f: ReinforcementFunction, r, b, n: int) -> list[list[int]]:
+    """table[m][s] = ``_limit_entry(f, r, b, m, s)``: every state that one
+    of n draws can be in, as the histograms read them."""
+    return [[_limit_entry(f, r, b, m, s) for s in range(m + 1)] for m in range(n)]
 
-    An ``UrnSpec`` gives its knot table, and a Beta law, by de Finetti, the
-    table of its Polya urn. A discrete law gives one constant table per atom
-    and the pick limits of its cumulative float weights, summed in atom
-    order. The last atom's table is listed twice: a first word above every
-    pick limit falls back to it.
+
+def _rules(source) -> tuple[list, list[int]]:
+    """The drawing rules of ``source`` and the pick limits that choose among
+    them; ``MOMENTS`` laws are refused.
+
+    A rule is an urn ``(f, r, b)``, whose limits ``_limit_entry`` computes,
+    or the constant limit of an atom. An ``UrnSpec`` gives its urn, and a
+    Beta law, by de Finetti, its Polya urn. A discrete law gives the limit
+    of each atom's location and the pick limits of its cumulative float
+    weights, summed in atom order. The last atom is listed twice: a first
+    word above every pick limit falls back to it.
     """
     if isinstance(source, UrnSpec):
-        return [_limit_table(source.f, source.r, source.b, n)], []
+        return [(source.f, source.r, source.b)], []
     if source.kind is MeasureKind.MOMENTS:
         raise UnsamplableKindError(
             "truncated moment sequences cannot be sampled; only beta and "
@@ -275,15 +279,26 @@ def _tables(source, n: int) -> tuple[list, list[int]]:
         )
     if source.kind is MeasureKind.BETA:
         identity = ReinforcementFunction.identity()
-        return [_limit_table(identity, source.beta_alpha, source.beta_beta, n)], []
-    tables = []
+        return [(identity, source.beta_alpha, source.beta_beta)], []
+    rules = []
     picks = []
     acc = 0.0
     for loc, w in source.atoms:
         acc += float(w)
         picks.append(_limit(acc))
-        tables.append([[_limit(float(loc))] * n] * n)
-    tables.append(tables[-1])
+        rules.append(_limit(float(loc)))
+    rules.append(rules[-1])
+    return rules, picks
+
+
+def _tables(source, n: int) -> tuple[list, list[int]]:
+    """The limit table of each rule of ``source`` (``_rules``), as
+    ``_histogram`` reads them, and the pick limits."""
+    rules, picks = _rules(source)
+    tables = [
+        [[rule] * n] * n if isinstance(rule, int) else _limit_table(*rule, n)
+        for rule in rules
+    ]
     return tables, picks
 
 
@@ -301,15 +316,18 @@ def _check_sizes(**sizes) -> None:
             raise ParameterRangeError(f"{name} must be at least {_FLOORS[name]}")
 
 
-def _draw_from_table(tables, picks: Sequence[int], seed: int) -> list[int]:
-    """Trial 0 of ``_histogram`` as its sequence of bits: the first word
-    picks the table when there are ``picks``, then one word per bit."""
+def _draw(rules, picks: Sequence[int], n: int, seed: int) -> list[int]:
+    """Trial 0 of ``_histogram`` over the tables of ``rules``, as its
+    sequence of n bits: the first word picks the rule when there are
+    ``picks``, then one word per bit. An urn's limits are computed as the
+    draw visits them, n in all, so a draw is linear in n."""
     rng = trial_stream(seed, 0)
-    table = tables[bisect_right(picks, rng.next_word() >> 11)] if picks else tables[0]
+    rule = rules[bisect_right(picks, rng.next_word() >> 11)] if picks else rules[0]
     sequence = []
     ones = 0
-    for row in table:
-        bit = 1 if rng.next_word() >> 11 < row[ones] else 0
+    for m in range(n):
+        limit = rule if isinstance(rule, int) else _limit_entry(*rule, m, ones)
+        bit = 1 if rng.next_word() >> 11 < limit else 0
         sequence.append(bit)
         ones += bit
     return sequence
@@ -322,15 +340,14 @@ def sample_polya(alpha, beta, n: int, seed: int) -> list[int]:
     if not all(isinstance(x, Real) and 0 < x < math.inf for x in (alpha, beta)):
         raise ParameterRangeError("alpha and beta must be finite and positive")
     _check_sizes(n=n, seed=seed)
-    table = _limit_table(ReinforcementFunction.identity(), alpha, beta, n)
-    return _draw_from_table([table], [], seed)
+    return _draw([(ReinforcementFunction.identity(), alpha, beta)], [], n, seed)
 
 
 def sample_urn_process(spec: UrnSpec, n: int, seed: int) -> list[int]:
     """One urn-process draw: each step applies the reinforcement map to the
     current red proportion (r + #ones)/(r + b + m)."""
     _check_sizes(n=n, seed=seed)
-    return _draw_from_table(*_tables(spec, n), seed)
+    return _draw(*_rules(spec), n, seed)
 
 
 def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
@@ -338,7 +355,7 @@ def sample_mixture(measure: DeFinettiMeasure, n: int, seed: int) -> list[int]:
     atom and draws i.i.d. bits from it; a Beta law draws its Polya urn,
     bit for bit ``sample_polya`` of the same parameters and seed."""
     _check_sizes(n=n, seed=seed)
-    return _draw_from_table(*_tables(measure, n), seed)
+    return _draw(*_rules(measure), n, seed)
 
 
 # ---------------------------------------------------------------------------

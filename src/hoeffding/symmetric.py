@@ -27,11 +27,13 @@ from fractions import Fraction
 
 from .errors import ArityMismatchError, IndexRangeError, ParseError
 from .measures import DeFinettiMeasure
-from .rationals import load_json, parse_rational
+from .rationals import as_rational, load_json, parse_rational
 
 
 def _as_fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+    """A function value as a ``Fraction``; one that is no rational raises
+    ``ParseError``."""
+    return value if type(value) is Fraction else as_rational(value, "a function value")
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class SymmetricFunction:
 
     @classmethod
     def constant(cls, n: int, value) -> "SymmetricFunction":
-        return cls(tuple(Fraction(value) for _ in range(n + 1)))
+        return cls((as_rational(value, "a constant value"),) * (n + 1))
 
     def __getitem__(self, zeros: int) -> Fraction:
         return self.values[zeros]
@@ -70,7 +72,7 @@ class SymmetricFunction:
         return SymmetricFunction(tuple(a - b for a, b in zip(self.values, other.values)))
 
     def scale(self, factor) -> "SymmetricFunction":
-        factor = Fraction(factor)
+        factor = as_rational(factor, "a scale factor")
         return SymmetricFunction(tuple(factor * a for a in self.values))
 
     def _check_arity(self, other: "SymmetricFunction") -> None:
@@ -115,24 +117,40 @@ def lift_ustatistic(kernel: SymmetricFunction, n: int) -> SymmetricFunction:
     On a configuration with z zeros there are C(z,j) * C(n-z, k-j) subsets
     containing exactly j zeros, so the lift collapses to a Vandermonde-
     weighted sum; linear in the kernel. With the kernel on its common
-    denominator S, each value is one integer sum over S.
+    denominator S, each value is one integer (``_lift_numerators``) over S.
     """
     k = kernel.n
     if not 0 <= k <= n:
         raise IndexRangeError(f"kernel arity {k} must lie in 0..{n}")
     scale, t = _common_numerators(kernel.values)
-    return SymmetricFunction(
-        tuple(
-            Fraction(
-                sum(
-                    math.comb(z, j) * math.comb(n - z, k - j) * t[j]
-                    for j in range(max(0, k - (n - z)), min(z, k) + 1)
-                ),
-                scale,
-            )
-            for z in range(n + 1)
+    lifted = _lift_numerators(t, n)[-1]
+    return SymmetricFunction(tuple(Fraction(x, scale) for x in lifted))
+
+
+def _lift_numerators(t, n: int) -> list[list[int]]:
+    """The lifts of the kernel with integer numerators t, of order
+    k = len(t) - 1, to the arities m = k..n: entry m - k holds
+    ``sum_j C(z,j) C(m-z,k-j) t[j]`` for z = 0..m, on the kernel's scale.
+
+    Each lift comes from the one below it. Of the m-subsets of m+1
+    observations, m+1-k hold any given k-subset, and an m-subset leaves
+    out one of the z zeros or one of the m+1-z ones, so
+
+        L_{m+1}(z) = (z L_m(z-1) + (m+1-z) L_m(z)) / (m+1-k),
+
+    an exact division: O(m) integer operations per arity, no binomials.
+    """
+    k = len(t) - 1
+    lifts = [list(t)]
+    for m in range(k, n):
+        below, count = lifts[-1], m + 1 - k
+        lifts.append(
+            [
+                (z * x + (m + 1 - z) * y) // count
+                for z, (x, y) in enumerate(zip([0, *below], [*below, 0]))
+            ]
         )
-    )
+    return lifts
 
 
 def inner_product(

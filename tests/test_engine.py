@@ -442,6 +442,31 @@ class TestSubspaceRoute:
         with pytest.raises(InternalError, match=r"subspace pair \(5, 2\) reads zero"):
             level_subspace_check(twopoint(), 3)
 
+    def test_zeroed_sums_raise_under_optimize(self):
+        # with every integer sum zero, level 3 of the two-point law reads
+        # as passing; the certificate of its pair (5, 2), read from
+        # lift_ustatistic and inner_product, must still raise under python -O
+        script = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction as F
+            from hoeffding import DeFinettiMeasure, InternalError, engine, level_subspace_check
+            if __debug__:
+                sys.exit("not running under -O")
+            engine._subspace_sums = lambda measure, lifted, columns: [0] * len(columns)
+            twopoint = DeFinettiMeasure.discrete([(F(1, 3), F(1, 2)), (F(2, 3), F(1, 2))])
+            try:
+                level_subspace_check(twopoint, 3)
+            except InternalError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit("no InternalError raised")
+            """
+        )
+        result = run_optimized(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("subspace pair (5, 2) reads zero")
+
     def test_one_nonzero_sum_raises(self, monkeypatch):
         # a nonzero sum fails a Beta level; its pair is zero by inner_product
         subspace_sums = engine._subspace_sums

@@ -389,3 +389,9 @@ class TestParsing:
     def test_scalar_factories_reject_non_rationals(self, build, what):
         with pytest.raises(ParseError, match=what):
             build()
+
+    @pytest.mark.parametrize("order", ["5", True, 2.0, None], ids=["text", "bool", "float", "none"])
+    def test_truncated_uniform_order_must_be_an_int(self, order):
+        # as parse_measure_spec refuses it in a document; True is no order 1
+        with pytest.raises(ParseError, match="order must be an integer"):
+            DeFinettiMeasure.truncated_uniform(F(1, 2), order)

@@ -379,6 +379,31 @@ class TestSampleMixture:
             assert abs(z) < DEFAULT_Z_THRESHOLD
 
 
+class TestSequenceDrawsAreLinear:
+    # a draw reads one state per bit, so it evaluates the reinforcement map
+    # once per bit, not once per state of the n(n+1)/2 table
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n: sample_polya(1, 1, n, seed=7),
+            lambda n: sample_urn_process(UrnSpec(f=ReinforcementFunction.identity(), r=1, b=2), n, seed=7),
+            lambda n: sample_mixture(DeFinettiMeasure.beta(1, 1), n, seed=7),
+        ],
+        ids=["polya", "urn", "beta-mixture"],
+    )
+    def test_map_called_once_per_bit(self, draw, monkeypatch):
+        calls = []
+        reinforce = ReinforcementFunction.__call__
+
+        def counted(self, x):
+            calls.append(x)
+            return reinforce(self, x)
+
+        monkeypatch.setattr(ReinforcementFunction, "__call__", counted)
+        assert len(draw(1000)) == 1000
+        assert len(calls) <= 1000
+
+
 class TestCompareExactEmpirical:
     def test_beta23_within_threshold(self):
         report = compare_exact_empirical(beta23(), 6, TRIALS, seed=11)

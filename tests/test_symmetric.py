@@ -342,6 +342,27 @@ def render_statistic_spec(statistic):
     )
 
 
+class TestValueConversion:
+    @pytest.mark.parametrize("value", ["x", "1/0", float("inf"), None], ids=["text", "zero-denominator", "inf", "none"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda value: SymmetricFunction((F(1), value)),
+            lambda value: BiSymmetricFunction(((F(1), value),)),
+            lambda value: SymmetricFunction.constant(2, value),
+            lambda value: SymmetricFunction.constant(2, 1).scale(value),
+        ],
+        ids=["values", "grid", "constant", "scale"],
+    )
+    def test_non_rationals_raise_parse_error(self, build, value):
+        with pytest.raises(ParseError, match="must be a rational"):
+            build(value)
+
+    def test_fractions_and_ints_convert_exactly(self):
+        assert SymmetricFunction((1, "1/2", F(2, 3))).values == (F(1), F(1, 2), F(2, 3))
+        assert SymmetricFunction.constant(1, "3/4").scale(2) == SymmetricFunction((F(3, 2),) * 2)
+
+
 class TestStatisticDocuments:
     def test_round_trip(self):
         t = SymmetricFunction((F(0), F(0), F(1)))
